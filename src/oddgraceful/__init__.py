@@ -6,8 +6,6 @@ an exhaustive search oracle for small graphs, and text formats for all of it.
 from ._version import __version__
 from .construct import (
     BoundPolicy,
-    ConstructionMethod,
-    construct_labeling,
     cycle_edge_labels,
     label_algorithmic,
     label_closed_form,
@@ -65,7 +63,6 @@ __all__ = [
     "BoundPolicy",
     "BoundViolationError",
     "Bipartite",
-    "ConstructionMethod",
     "DuplicateEdgeWeight",
     "DuplicateVertexLabel",
     "EdgeWeightEven",
@@ -88,7 +85,6 @@ __all__ = [
     "build_labeling_document",
     "complement_labeling",
     "connected_components",
-    "construct_labeling",
     "cycle_edge_labels",
     "edge_weights",
     "emit_dot",

@@ -19,8 +19,7 @@ from pathlib import Path
 from ._version import __version__
 from .construct import (
     BoundPolicy,
-    ConstructionMethod,
-    construct_labeling,
+    label_algorithmic,
     label_closed_form,
     min_path_order,
 )
@@ -50,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OddGracefulError as exc:
+    except (OddGracefulError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -86,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="backtrack-node cap")
     p.add_argument("--all", action="store_true", help="count every solution")
     p.add_argument("--no-precheck", action="store_true", help="disable the parity precheck")
-    p.add_argument("--workers", type=int, default=1, help="parallel subtree workers")
     _common_flags(p)
     p.set_defaults(handler=_cmd_search)
 
@@ -141,8 +139,8 @@ def _write(args, text: str) -> None:
 def _cmd_label(args) -> int:
     spec = FamilySpec(args.cycle, args.path)
     policy = BoundPolicy.FORCE if args.force else BoundPolicy.ENFORCE
-    method = ConstructionMethod.CLOSED_FORM if args.method == "closed" else ConstructionMethod.ALGORITHMIC
-    labeling = construct_labeling(spec, method, policy)
+    construct = label_closed_form if args.method == "closed" else label_algorithmic
+    labeling = construct(spec, policy)
     g = make_union(spec)
     report = verify_odd_graceful(g, labeling)
     if args.format == "dot":
@@ -174,7 +172,6 @@ def _cmd_search(args) -> int:
         node_budget=args.budget,
         find_all=args.all,
         parity_precheck=not args.no_precheck,
-        workers=args.workers,
     )
     outcome = search_odd_graceful(g, cfg)
     if args.format == "dot":

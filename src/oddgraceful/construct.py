@@ -31,11 +31,6 @@ from .graph import FamilySpec
 from .labeling import Labeling
 
 
-class ConstructionMethod(enum.Enum):
-    CLOSED_FORM = "closed"
-    ALGORITHMIC = "algo"
-
-
 class BoundPolicy(enum.Enum):
     """ENFORCE rejects path orders below the minimum; FORCE constructs anyway."""
 
@@ -106,16 +101,6 @@ def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     return Labeling(tuple(labels))
 
 
-def construct_labeling(
-    spec: FamilySpec,
-    method: ConstructionMethod = ConstructionMethod.CLOSED_FORM,
-    policy: BoundPolicy = BoundPolicy.ENFORCE,
-) -> Labeling:
-    if method is ConstructionMethod.CLOSED_FORM:
-        return label_closed_form(spec, policy)
-    return label_algorithmic(spec, policy)
-
-
 def cycle_edge_labels(spec: FamilySpec) -> tuple[int, ...]:
     """Predicted cycle-edge weights in ring order.
 
@@ -153,13 +138,8 @@ def _cycle_pass(labels: list[int], m: int, q: int, closing_label: int) -> None:
 def _path_pass(labels: list[int], m: int, n: int, closing_label: int, reserved_weight: int) -> None:
     labels[m] = 1
     w = closing_label
-    previous = None
     for j in range(1, n):
         w -= 2
         if w == reserved_weight:
             w -= 2
-        # Strictly descending, so no path weight can repeat or re-enter the
-        # reserved value after the single skip.
-        assert previous is None or w < previous
-        previous = w
         labels[m + j] = labels[m + j - 1] + (w if j % 2 else -w)

@@ -8,17 +8,18 @@ Edge-list format (read and write)
 
 Report format (write, parse for labeling documents)
     JSON object with a fixed envelope and a kind-specific payload:
-        report_version   schema revision, currently 1
+        report_version   schema revision, currently 2
         tool_version     package version that produced the report
         input_digest     "sha256:..." over the source text when the caller
                          provides one, otherwise over the canonical payload
         kind             "labeling" | "verify-report" | "search-outcome"
     kind "labeling": family (null or {cycle_order, path_order}), edge_count,
-        labels (vertex-id order), weights (edge order), ok.
+        labels (vertex-id order), weights (edge order), ok. When parsed back,
+        every number must be a JSON integer and ok a JSON boolean.
     kind "verify-report": ok, violations (list of {kind, ...} objects using
         the tags from labeling.VIOLATION_KINDS).
     kind "search-outcome": verdict, nodes_explored, solutions_found, labels
-        (null unless a labeling was found), odd_cycle_witness, deterministic.
+        (null unless a labeling was found), odd_cycle_witness.
     Keys are sorted and the encoder is deterministic, so equal inputs give
     byte-identical reports.
 
@@ -32,6 +33,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from ._version import __version__
 from .errors import IncompleteLabelingError, ParseError
@@ -44,7 +46,7 @@ from .labeling import (
 )
 from .search import SearchOutcome
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -120,16 +122,23 @@ def parse_labeling_document(text: str) -> LabelingDocument:
         raw_family = doc["family"]
         family = None
         if raw_family is not None:
-            family = (int(raw_family["cycle_order"]), int(raw_family["path_order"]))
-        return LabelingDocument(
-            family,
-            int(doc["edge_count"]),
-            tuple(int(x) for x in doc["labels"]),
-            tuple(int(w) for w in doc["weights"]),
-            bool(doc["ok"]),
+            family = (raw_family["cycle_order"], raw_family["path_order"])
+        edge_count, labels, weights, ok = (
+            doc["edge_count"], doc["labels"], doc["weights"], doc["ok"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed labeling document: {exc}") from None
+    if type(labels) is not list or type(weights) is not list:
+        raise ParseError("malformed labeling document: labels and weights must be arrays")
+    # type() rather than isinstance(): bool is a subclass of int.
+    if not set(map(type, chain((edge_count,), family or (), labels, weights))) <= {int}:
+        raise ParseError(
+            "malformed labeling document: edge_count, family orders, labels "
+            "and weights must be integers"
+        )
+    if type(ok) is not bool:
+        raise ParseError("malformed labeling document: ok must be true or false")
+    return LabelingDocument(family, edge_count, tuple(labels), tuple(weights), ok)
 
 
 def emit_report(
@@ -189,7 +198,7 @@ def _payload_body(payload) -> dict:
         violations = []
         for violation in payload.violations:
             entry = {"kind": VIOLATION_KINDS[type(violation)]}
-            entry.update(_jsonable(dataclasses.asdict(violation)))
+            entry.update(dataclasses.asdict(violation))
             violations.append(entry)
         return {"kind": "verify-report", "ok": payload.ok, "violations": violations}
     if isinstance(payload, SearchOutcome):
@@ -202,16 +211,6 @@ def _payload_body(payload) -> dict:
             "odd_cycle_witness": list(payload.odd_cycle_witness)
             if payload.odd_cycle_witness
             else None,
-            "deterministic": payload.deterministic,
         }
     raise TypeError(f"cannot serialize {type(payload).__name__} as a report")
 
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value

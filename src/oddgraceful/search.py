@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import Graph, connected_components
 from .labeling import Labeling
@@ -54,12 +53,11 @@ class SearchVerdict(enum.Enum):
 class SearchConfig:
     """node_budget caps backtrack nodes (None = run to exhaustion); find_all
     counts and collects every solution instead of stopping at the first;
-    workers > 1 splits the root branching across processes."""
+    parity_precheck two-colors the graph first and rejects odd cycles."""
 
     node_budget: int | None = None
     find_all: bool = False
     parity_precheck: bool = True
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class SearchOutcome:
     solutions_found: int
     solutions: tuple[Labeling, ...] | None = None
     odd_cycle_witness: tuple[int, ...] | None = None
-    deterministic: bool = True
 
 
 def parity_precheck(g: Graph) -> Bipartite | OddCycle:
@@ -103,10 +100,6 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     order). EXHAUSTED_NOT_FOUND is returned only after the entire pruned
     space was covered without a budget cut, and is therefore a proof of
     nonexistence. BUDGET_EXCEEDED reports the node count at the cut.
-
-    In parallel mode the node budget applies to each root subtree separately,
-    find_all counts stay exact, and a first-found labeling may be any valid
-    one (outcomes are then flagged non-deterministic).
     """
     if g.vertex_count == 0:
         empty = Labeling(())
@@ -132,12 +125,13 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
             )
         coloring = check.coloring
 
-    if cfg.workers > 1 and 2 * g.edge_count > 0:
-        return _parallel_search(g, cfg, coloring)
-
     first, nodes, sols, cut, collected = _enumerate(g, cfg, coloring)
+    if cut:
+        verdict = SearchVerdict.BUDGET_EXCEEDED
+    else:
+        verdict = SearchVerdict.FOUND if sols else SearchVerdict.EXHAUSTED_NOT_FOUND
     return SearchOutcome(
-        _verdict(cut, sols),
+        verdict,
         first,
         nodes,
         sols,
@@ -145,19 +139,12 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     )
 
 
-def _verdict(cut: bool, sols: int) -> SearchVerdict:
-    if cut:
-        return SearchVerdict.BUDGET_EXCEEDED
-    return SearchVerdict.FOUND if sols else SearchVerdict.EXHAUSTED_NOT_FOUND
-
-
-def _enumerate(g, cfg, coloring, root_labels=None):
+def _enumerate(g, cfg, coloring):
     """Depth-first enumeration core.
 
     Returns (first_labeling, nodes, solutions, budget_cut, collected); a node
     is counted each time a candidate label survives all filters and is
-    committed. `root_labels` restricts the candidates of vertex 0, which is
-    how parallel mode partitions the tree.
+    committed.
     """
     nv, q = g.vertex_count, g.edge_count
     limit = 2 * q
@@ -192,9 +179,7 @@ def _enumerate(g, cfg, coloring, root_labels=None):
             if collected is not None:
                 collected.append(found)
             return find_all
-        if v == 0 and root_labels is not None:
-            candidates = root_labels
-        elif coloring is None or comp_first[v] == v:
+        if coloring is None or comp_first[v] == v:
             candidates = range(limit)
         else:
             head = comp_first[v]
@@ -241,65 +226,6 @@ def _enumerate(g, cfg, coloring, root_labels=None):
     # limit == 0 with vertices present: no labels exist at all, the space is
     # empty and the search exhausts immediately.
     return first, nodes, sols, cut, collected
-
-
-def _search_subtree(args):
-    g, cfg, root_label = args
-    first, nodes, sols, cut, collected = _enumerate(g, cfg, _subtree_coloring(g, cfg), [root_label])
-    return root_label, first, nodes, sols, cut, collected
-
-
-def _subtree_coloring(g, cfg):
-    if not cfg.parity_precheck:
-        return None
-    check = parity_precheck(g)
-    # Odd-cycle graphs never reach the workers; the parent already returned.
-    assert isinstance(check, Bipartite)
-    return check.coloring
-
-
-def _parallel_search(g: Graph, cfg: SearchConfig, coloring) -> SearchOutcome:
-    worker_cfg = replace(cfg, workers=1)
-    tasks = [(g, worker_cfg, x) for x in range(2 * g.edge_count)]
-    if cfg.find_all:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_search_subtree, tasks))
-        results.sort(key=lambda r: r[0])
-        nodes = sum(r[2] for r in results)
-        sols = sum(r[3] for r in results)
-        cut = any(r[4] for r in results)
-        collected: list[Labeling] = []
-        for r in results:
-            collected.extend(r[5])
-        first = collected[0] if collected else None
-        return SearchOutcome(
-            _verdict(cut, sols), first, nodes, sols, solutions=tuple(collected)
-        )
-
-    nodes = 0
-    sols = 0
-    cut = False
-    first = None
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        pending = {pool.submit(_search_subtree, t) for t in tasks}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                _, sub_first, sub_nodes, sub_sols, sub_cut, _ = fut.result()
-                nodes += sub_nodes
-                sols += sub_sols
-                cut = cut or sub_cut
-                if sub_first is not None and first is None:
-                    first = sub_first
-            if first is not None:
-                for fut in pending:
-                    fut.cancel()
-                break
-    if first is not None:
-        return SearchOutcome(
-            SearchVerdict.FOUND, first, nodes, sols, deterministic=False
-        )
-    return SearchOutcome(_verdict(cut, sols), None, nodes, sols, deterministic=False)
 
 
 def _extract_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:

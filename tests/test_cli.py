@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oddgraceful
 from oddgraceful import FamilySpec, emit_edge_list, make_cycle, make_union
 from oddgraceful.cli import main
+
+SRC_DIR = str(Path(oddgraceful.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +106,61 @@ def test_verify_parse_error_names_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(bad), str(labeling_file))
     assert code == 64
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("labels", [0.7, 1.9]),
+        ("labels", [True, False]),
+        ("labels", ["0", "1"]),
+        ("labels", "0123"),
+        ("weights", [1.0, 3.0]),
+        ("edge_count", 6.0),
+        ("family", {"cycle_order": 4.0, "path_order": 3}),
+        ("ok", "no"),
+        ("ok", 1),
+    ],
+)
+def test_verify_rejects_non_integer_documents(tmp_path, capsys, field, value):
+    labeling_file = tmp_path / "labeling.json"
+    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(labeling_file))
+    doc = json.loads(labeling_file.read_text())
+    doc[field] = value
+    labeling_file.write_text(json.dumps(doc))
+    graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
+    code, out, err = run_cli(capsys, "verify", graph_file, str(labeling_file))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: malformed labeling document")
+
+
+def run_module(*args, cwd):
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_missing_input_file_exits_usage(tmp_path):
+    proc = run_module("-m", "oddgraceful", "verify", "nope.txt", "l.json", cwd=tmp_path)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("error: ")
+    assert "nope.txt" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_python_m_entry_point(tmp_path):
+    proc = run_module("-m", "oddgraceful", "--version", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"oddgraceful {oddgraceful.__version__}"
+
+
+def test_cli_import_does_not_load_multiprocessing(tmp_path):
+    probe = "import sys, oddgraceful.cli; print('multiprocessing' in sys.modules)"
+    proc = run_module("-c", probe, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_search_odd_cycle_exits_two(tmp_path, capsys):

@@ -7,8 +7,6 @@ from oddgraceful import (
     FamilySpec,
     InvalidParameterError,
     Labeling,
-    ConstructionMethod,
-    construct_labeling,
     cycle_edge_labels,
     edge_weights,
     label_algorithmic,
@@ -169,12 +167,6 @@ def test_weight_partition_between_cycle_and_path(spec):
     expected_cycle = top_run | {2 * q - 3 * m + 5}
     assert cycle_part == expected_cycle
     assert path_part == set(range(1, 2 * q, 2)) - expected_cycle
-
-
-def test_construct_labeling_dispatch():
-    spec = FamilySpec(6, 4)
-    assert construct_labeling(spec) == label_closed_form(spec)
-    assert construct_labeling(spec, ConstructionMethod.ALGORITHMIC) == label_algorithmic(spec)
 
 
 def test_construction_is_deterministic():

@@ -150,7 +150,7 @@ def test_passing_report_serialization():
     assert doc["kind"] == "verify-report"
     assert doc["ok"] is True
     assert doc["violations"] == []
-    assert doc["report_version"] == 1
+    assert doc["report_version"] == 2
     assert doc["tool_version"]
     assert doc["input_digest"].startswith("sha256:")
 
