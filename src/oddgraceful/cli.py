@@ -23,8 +23,8 @@ from .construct import (
     label_closed_form,
     min_path_order,
 )
-from .errors import InvalidParameterError, OddGracefulError
-from .graph import FamilySpec, make_union
+from .errors import InvalidParameterError, OddGracefulError, ValidationError
+from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
     build_labeling_document,
     emit_dot,
@@ -155,8 +155,7 @@ def _cmd_verify(args) -> int:
     graph_text = Path(args.graph_file).read_text()
     labeling_text = Path(args.labeling_file).read_text()
     g = parse_edge_list(graph_text)
-    doc = parse_labeling_document(labeling_text)
-    labeling = Labeling(doc.labels)
+    labeling = _labeling_for(g, labeling_text)
     report = verify_odd_graceful(g, labeling)
     if args.format == "dot":
         _write(args, emit_dot(g, labeling))
@@ -215,10 +214,32 @@ def _cmd_dot(args) -> int:
     g = parse_edge_list(Path(args.graph_file).read_text())
     labeling = None
     if args.labeling:
-        doc = parse_labeling_document(Path(args.labeling).read_text())
-        labeling = Labeling(doc.labels)
+        labeling = _labeling_for(g, Path(args.labeling).read_text())
     _write(args, emit_dot(g, labeling))
     return EXIT_OK
+
+
+def _labeling_for(g: Graph, labeling_text: str) -> Labeling:
+    """Parse a labeling document and check that it describes a graph of g's
+    size. Its weights and ok flag are derived data: only their count is
+    checked here, the verifier recomputes the values."""
+    doc = parse_labeling_document(labeling_text)
+    if doc.edge_count != g.edge_count:
+        raise ValidationError(
+            f"labeling document has edge_count {doc.edge_count}, graph has {g.edge_count} edges"
+        )
+    if len(doc.weights) != doc.edge_count:
+        raise ValidationError(
+            f"labeling document lists {len(doc.weights)} weights for edge_count {doc.edge_count}"
+        )
+    if doc.family is not None:
+        cycle_order, path_order = doc.family
+        if cycle_order + path_order - 1 != doc.edge_count:
+            raise ValidationError(
+                f"labeling document family ({cycle_order}, {path_order}) has "
+                f"{cycle_order + path_order - 1} edges, edge_count is {doc.edge_count}"
+            )
+    return Labeling(doc.labels)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import InvalidParameterError, ValidationError
 
@@ -22,18 +23,29 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
-        if self.vertex_count < 0:
+        edges = self.edges
+        # A tuple of int 2-tuples is kept as given; anything else (lists, bools,
+        # other int-like values) is rebuilt. type() rather than isinstance():
+        # bool is a subclass of int.
+        if not (
+            type(edges) is tuple
+            and set(map(type, edges)) <= {tuple}
+            and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}
+        ):
+            edges = tuple((int(a), int(b)) for a, b in edges)
+            object.__setattr__(self, "edges", edges)
+        n = self.vertex_count
+        if n < 0:
             raise ValidationError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        for a, b in self.edges:
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise ValidationError(
-                    f"edge ({a}, {b}) has an endpoint outside 0..{self.vertex_count - 1}"
-                )
+        seen: set[int] = set()
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValidationError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
             if a == b:
                 raise ValidationError(f"self-loop at vertex {a}")
-            key = (a, b) if a < b else (b, a)
+            # Unique per unordered pair only once both endpoints are in range.
+            key = a * n + b if a < b else b * n + a
             if key in seen:
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(key)
@@ -106,7 +118,7 @@ def make_union(spec: FamilySpec) -> Graph:
     """
     m, n = spec.cycle_order, spec.path_order
     edges = [(i, (i + 1) % m) for i in range(m)]
-    edges.extend((m + j, m + j + 1) for j in range(n - 1))
+    edges.extend(zip(range(m, m + n - 1), range(m + 1, m + n)))
     return Graph(m + n, tuple(edges))
 
 

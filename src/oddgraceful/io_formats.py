@@ -42,7 +42,7 @@ from .labeling import (
     VIOLATION_KINDS,
     Labeling,
     VerifyReport,
-    edge_weights,
+    induced_weights,
 )
 from .search import SearchOutcome
 
@@ -107,7 +107,7 @@ def build_labeling_document(
     ok: bool,
     family: tuple[int, int] | None = None,
 ) -> LabelingDocument:
-    weights = tuple(w for _, w in edge_weights(g, labeling))
+    weights = induced_weights(g, labeling)
     return LabelingDocument(family, g.edge_count, tuple(labeling.labels), weights, ok)
 
 
@@ -156,7 +156,28 @@ def emit_report(
         "input_digest": f"sha256:{digest}",
         **body,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dumps_indented(doc)
+
+
+def _dumps_indented(doc: dict) -> str:
+    """Same text as json.dumps(doc, indent=2, sort_keys=True) + "\n" for a
+    non-empty dict with string keys, such as a report envelope.
+
+    The indenting encoder runs in pure Python, so each top-level value goes
+    through it on its own, except non-empty int arrays, which are laid out by
+    join. Re-indenting a value by replacing newlines is exact because the
+    encoder escapes every newline inside a string.
+    """
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        # type() rather than isinstance(): bool is a subclass of int.
+        if type(value) is list and value and set(map(type, value)) <= {int}:
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:

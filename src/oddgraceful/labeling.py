@@ -102,10 +102,15 @@ class VerifyReport:
             raise ValueError("ok flag inconsistent with violation list")
 
 
-def edge_weights(g: Graph, labeling: Labeling) -> list[tuple[tuple[int, int], int]]:
+def induced_weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     """Induced weight |f(a) - f(b)| per edge, in the graph's edge order."""
     labels = _total_labels(g, labeling)
-    return [((a, b), abs(labels[a] - labels[b])) for a, b in g.edges]
+    return tuple([abs(labels[a] - labels[b]) for a, b in g.edges])
+
+
+def edge_weights(g: Graph, labeling: Labeling) -> list[tuple[tuple[int, int], int]]:
+    """Each edge paired with its induced weight, in the graph's edge order."""
+    return list(zip(g.edges, induced_weights(g, labeling)))
 
 
 def complement_labeling(labeling: Labeling, edge_count: int) -> Labeling:

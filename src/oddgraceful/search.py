@@ -25,6 +25,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InvalidParameterError
 from .graph import Graph, connected_components
 from .labeling import Labeling
 
@@ -51,13 +52,20 @@ class SearchVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """node_budget caps backtrack nodes (None = run to exhaustion); find_all
-    counts and collects every solution instead of stopping at the first;
-    parity_precheck two-colors the graph first and rejects odd cycles."""
+    """node_budget caps backtrack nodes (None = run to exhaustion; a negative
+    budget raises InvalidParameterError); find_all counts and collects every
+    solution instead of stopping at the first; parity_precheck two-colors the
+    graph first and rejects odd cycles."""
 
     node_budget: int | None = None
     find_all: bool = False
     parity_precheck: bool = True
+
+    def __post_init__(self):
+        if self.node_budget is not None and self.node_budget < 0:
+            raise InvalidParameterError(
+                f"node budget must be non-negative, got {self.node_budget}"
+            )
 
 
 @dataclass(frozen=True)

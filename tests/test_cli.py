@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oddgraceful
-from oddgraceful import FamilySpec, emit_edge_list, make_cycle, make_union
+from oddgraceful import FamilySpec, emit_edge_list, make_cycle, make_path, make_union
 from oddgraceful.cli import main
 
 SRC_DIR = str(Path(oddgraceful.__file__).resolve().parents[1])
@@ -31,6 +32,26 @@ def test_label_valid_instance(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["labels"] == [0, 27, 2, 25, 4, 23, 6, 15, 1, 14, 3, 10, 5, 8, 7]
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("--cycle", "8", "--path", "7"),
+            "95c3c23f3bd49869c6389a279d6a8db66c42dd18a99b3b760b35c8f1ece37f84",
+        ),
+        (
+            ("--cycle", "42", "--path", "1000", "--method", "algo"),
+            "b4729a548ce02565ea49bbe585e44aff819c59b613091639c51b621ef96d5a22",
+        ),
+    ],
+)
+def test_label_report_bytes_pinned(capsys, argv, sha256):
+    # Digests of the reports written by version 0.2.0.
+    code, out, _ = run_cli(capsys, "label", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_label_below_minimum_requires_force(capsys):
@@ -135,6 +156,60 @@ def test_verify_rejects_non_integer_documents(tmp_path, capsys, field, value):
     assert err.startswith("error: malformed labeling document")
 
 
+P2_DOCUMENT = {
+    "kind": "labeling",
+    "family": None,
+    "edge_count": 1,
+    "labels": [0, 1],
+    "weights": [1],
+    "ok": True,
+}
+
+
+def write_p2_document(tmp_path, **changes):
+    graph_file = write_graph(tmp_path, make_path(2))
+    labeling_file = tmp_path / "labeling.json"
+    labeling_file.write_text(json.dumps({**P2_DOCUMENT, **changes}))
+    return graph_file, str(labeling_file)
+
+
+def test_verify_recomputes_weights_and_ok(tmp_path, capsys):
+    # Stored weight values and the ok flag are derived data, not trusted.
+    graph_file, labeling_file = write_p2_document(tmp_path, weights=[7], ok=False)
+    code, out, _ = run_cli(capsys, "verify", graph_file, labeling_file)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"edge_count": 99, "weights": [7, 7, 7], "ok": False},
+            "labeling document has edge_count 99, graph has 1 edges",
+        ),
+        ({"weights": [1, 3]}, "labeling document lists 2 weights for edge_count 1"),
+        ({"weights": []}, "labeling document lists 0 weights for edge_count 1"),
+        (
+            {"family": {"cycle_order": 4, "path_order": 3}},
+            "labeling document family (4, 3) has 6 edges, edge_count is 1",
+        ),
+    ],
+    ids=["edge-count", "extra-weights", "missing-weights", "family"],
+)
+@pytest.mark.parametrize("command", ["verify", "dot"])
+def test_inconsistent_labeling_document_exits_usage(tmp_path, capsys, command, changes, message):
+    graph_file, labeling_file = write_p2_document(tmp_path, **changes)
+    if command == "verify":
+        argv = [graph_file, labeling_file]
+    else:
+        argv = [graph_file, "--labeling", labeling_file]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def run_module(*args, cwd):
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
     return subprocess.run(
@@ -182,6 +257,17 @@ def test_search_budget_exits_three(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "search", graph_file, "--budget", "2")
     assert code == 3
     assert json.loads(out)["verdict"] == "budget-exceeded"
+
+
+def test_search_negative_budget_exits_usage(tmp_path, capsys):
+    graph_file = write_graph(tmp_path, make_cycle(6))
+    code, out, err = run_cli(capsys, "search", graph_file, "--budget", "-5")
+    assert code == 64
+    assert out == ""
+    assert err == "error: node budget must be non-negative, got -5\n"
+    code, out, _ = run_cli(capsys, "search", graph_file, "--budget", "0")
+    assert code == 3
+    assert json.loads(out)["nodes_explored"] == 0
 
 
 def test_search_all_reports_even_count(tmp_path, capsys):

@@ -132,3 +132,37 @@ def test_adjacency():
     g = make_cycle(4)
     assert g.adjacency == ((1, 3), (0, 2), (1, 3), (2, 0))
     assert g.degree(0) == 2
+
+
+def test_graph_range_check_precedes_duplicate_keys():
+    # Keys a*n+b collide here (1*3+2 == 0*3+5); the out-of-range edge must be
+    # reported as such, never as a duplicate.
+    with pytest.raises(ValidationError, match=r"^edge \(0, 5\) has an endpoint outside 0\.\.2$"):
+        Graph(3, ((1, 2), (0, 5)))
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges, message",
+    [
+        (4, ((0, 1), (2, 2), (1, 0), (0, 9)), "self-loop at vertex 2"),
+        (4, ((0, 1), (1, 0), (2, 2)), "duplicate edge (1, 0)"),
+        (4, ((0, 1), (-1, 3), (3, 3), (1, 0)), "edge (-1, 3) has an endpoint outside 0..3"),
+        (4, ((3, 2), (2, 3)), "duplicate edge (2, 3)"),
+        (5, ((0, 1), (1, 2), (2, 1), (7, 7)), "duplicate edge (2, 1)"),
+        (3, ((0, 1), (4, 4)), "edge (4, 4) has an endpoint outside 0..2"),
+    ],
+)
+def test_graph_first_fault_in_edge_order_wins(vertex_count, edges, message):
+    with pytest.raises(ValidationError) as exc_info:
+        Graph(vertex_count, edges)
+    assert str(exc_info.value) == message
+
+
+def test_graph_coerces_other_edge_forms():
+    expected = Graph(3, ((0, 1), (1, 2)))
+    for edges in ([[0, 1], [1, 2]], [(0, 1), (1, 2)], ((False, True), (True, 2))):
+        g = Graph(3, edges)
+        assert g == expected
+        assert type(g.edges) is tuple
+        assert {type(e) for e in g.edges} == {tuple}
+        assert {type(v) for e in g.edges for v in e} == {int}

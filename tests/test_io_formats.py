@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddgraceful import (
     FamilySpec,
@@ -25,6 +26,8 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.construct import BoundPolicy
+from oddgraceful.io_formats import _dumps_indented
+from oddgraceful.labeling import VIOLATION_KINDS
 
 from strategies import family_specs, small_graphs
 
@@ -202,3 +205,63 @@ def test_parse_labeling_document_reports_json_line():
     with pytest.raises(ParseError) as exc_info:
         parse_labeling_document('{\n  "kind": broken\n}')
     assert exc_info.value.line == 2
+
+
+def reference_layout(text):
+    """The encoder emit_report must match: json.dumps with indent=2."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "g, labeling, family",
+    [
+        (make_union(FamilySpec(4, 3)), C4_P3, (4, 3)),
+        (make_path(2), Labeling((0, 1)), None),
+        (Graph(0), Labeling(()), None),
+    ],
+)
+def test_labeling_report_matches_reference_layout(g, labeling, family):
+    doc = build_labeling_document(g, labeling, verify_odd_graceful(g, labeling).ok, family)
+    text = emit_report(doc)
+    assert text == reference_layout(text)
+
+
+def test_failing_verify_report_matches_reference_layout():
+    report = verify_odd_graceful(make_path(5), Labeling((0, 0, 9, 6, 9)))
+    assert {type(v) for v in report.violations} == set(VIOLATION_KINDS)
+    text = emit_report(report)
+    assert text == reference_layout(text)
+
+
+@pytest.mark.parametrize(
+    "g, cfg",
+    [
+        (make_union(FamilySpec(4, 3)), SearchConfig(node_budget=2)),  # labels null
+        (make_union(FamilySpec(4, 3)), SearchConfig()),  # labels set
+        (make_cycle(5), SearchConfig()),  # odd-cycle witness
+    ],
+)
+def test_search_report_matches_reference_layout(g, cfg):
+    text = emit_report(search_odd_graceful(g, cfg), source_text="src")
+    assert text == reference_layout(text)
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(
+        st.text(max_size=6),
+        json_values | st.lists(st.integers(), max_size=6) | st.lists(st.booleans(), max_size=3),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_dumps_indented_matches_json_dumps(doc):
+    assert _dumps_indented(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -6,6 +6,7 @@ from oddgraceful import (
     Bipartite,
     FamilySpec,
     Graph,
+    InvalidParameterError,
     Labeling,
     OddCycle,
     SearchConfig,
@@ -138,6 +139,17 @@ def test_budget_exceeded_on_tiny_budget():
     out = search_odd_graceful(make_union(FamilySpec(4, 3)), SearchConfig(node_budget=3))
     assert out.verdict is SearchVerdict.BUDGET_EXCEEDED
     assert out.nodes_explored == 3
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(InvalidParameterError, match="node budget must be non-negative, got -1"):
+        SearchConfig(node_budget=-1)
+
+
+def test_zero_budget_cuts_before_the_first_node():
+    out = search_odd_graceful(make_path(3), SearchConfig(node_budget=0))
+    assert out.verdict is SearchVerdict.BUDGET_EXCEEDED
+    assert out.nodes_explored == 0
 
 
 def test_budget_is_monotone():
