@@ -2,18 +2,17 @@
 
 Subcommands: label (construct a family labeling), verify (check a labeling
 file against a graph file), search (exhaustive oracle), table (feasibility
-sweep), dot (render a graph file), bench (construction timing at large
-sizes). Exit codes are part of the contract: label and verify exit 0 exactly
-when the labeling is odd graceful, search exits 0/2/3 for found / exhausted /
-budget-exceeded, and any input or parameter problem exits 64.
+sweep), dot (render a graph file). Exit codes are part of the contract:
+label and verify exit 0 exactly when the labeling is odd graceful, search
+exits 0/2/3 for found / exhausted / budget-exceeded, and any input or
+parameter problem exits 64. Timing lives outside the package, in the
+benchmark under perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
@@ -40,8 +39,6 @@ EXIT_INVALID = 1
 EXIT_NOT_FOUND = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
-
-BENCH_CYCLE_CAP = 40
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,33 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(handler=_cmd_dot)
 
-    p = sub.add_parser("bench", help="time the construction at a list of edge counts")
-    p.add_argument("--q-list", type=_q_list, required=True, help="comma-separated edge counts")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--verify-limit",
-        type=int,
-        default=1_000_000,
-        help="verify outputs up to this edge count (larger runs are timed only)",
-    )
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_bench)
     return parser
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     p.add_argument("--format", choices=["report", "dot"], default=None)
-
-
-def _q_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad edge-count list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("edge-count list is empty")
-    return values
 
 
 def _write(args, text: str) -> None:
@@ -240,69 +216,3 @@ def _labeling_for(g: Graph, labeling_text: str) -> Labeling:
                 f"{cycle_order + path_order - 1} edges, edge_count is {doc.edge_count}"
             )
     return Labeling(doc.labels)
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    edge_count: int
-    spec: FamilySpec
-    seconds: float
-    verified: bool | None  # None when skipped by the verify limit
-
-
-def family_for_size(edge_count: int, cycle_cap: int = BENCH_CYCLE_CAP) -> FamilySpec:
-    """Largest valid even cycle order up to the cap, remainder to the path."""
-    top = min(cycle_cap, edge_count - 1)
-    top -= top % 2
-    for m in range(top, 3, -2):
-        n = edge_count + 1 - m
-        if n >= max(2, min_path_order(m)):
-            return FamilySpec(m, n)
-    raise InvalidParameterError(f"no cycle/path split realizes edge count {edge_count}")
-
-
-def run_bench(
-    edge_counts: list[int],
-    repeats: int = 3,
-    verify_limit: int = 1_000_000,
-) -> tuple[list[BenchRow], list[tuple[int, int, float]]]:
-    """Best-of-`repeats` construction time per edge count, plus the doubling
-    ratios time(2q)/time(q) for every q whose double is also listed."""
-    rows = []
-    for q in edge_counts:
-        spec = family_for_size(q)
-        best = float("inf")
-        labeling = None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            labeling = label_closed_form(spec)
-            best = min(best, time.perf_counter() - start)
-        verified = None
-        if q <= verify_limit:
-            verified = verify_odd_graceful(make_union(spec), labeling).ok
-        rows.append(BenchRow(q, spec, best, verified))
-    by_q = {row.edge_count: row for row in rows}
-    ratios = []
-    for q in sorted(by_q):
-        if 2 * q in by_q:
-            ratios.append((q, 2 * q, by_q[2 * q].seconds / by_q[q].seconds))
-    return rows, ratios
-
-
-def _cmd_bench(args) -> int:
-    if args.format == "dot":
-        raise InvalidParameterError("bench output has no DOT form")
-    rows, ratios = run_bench(args.q_list, args.repeats, args.verify_limit)
-    lines = []
-    failed = False
-    for row in rows:
-        verdict = "skipped" if row.verified is None else ("pass" if row.verified else "FAIL")
-        failed = failed or row.verified is False
-        lines.append(
-            f"edge_count={row.edge_count} cycle={row.spec.cycle_order} "
-            f"path={row.spec.path_order} best_seconds={row.seconds:.6f} verify={verdict}"
-        )
-    for q, q2, ratio in ratios:
-        lines.append(f"ratio t({q2})/t({q}) = {ratio:.2f}")
-    _write(args, "\n".join(lines) + "\n")
-    return EXIT_INVALID if failed else EXIT_OK

@@ -116,6 +116,10 @@ def parse_labeling_document(text: str) -> LabelingDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer past CPython's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("kind") != "labeling":
         raise ParseError("expected a report of kind 'labeling'")
     try:

@@ -9,11 +9,13 @@ parity precheck is on), or if any edge to an already-labeled neighbour would
 induce an even or already-used weight. Odd weights force opposite label
 parity across every edge, so a graph containing an odd cycle has no labeling
 at all; with the precheck enabled such graphs are rejected immediately with a
-witness cycle.
+witness cycle. A graph with more vertices than the 2q labels 0..2q-1 has
+none either, by pigeonhole, and is rejected before anything is allocated.
 
 Within a component the first vertex keeps both parities available, which
 explores both polarities of the two-coloring exactly once each; solution
-counts in find_all mode are therefore exact.
+counts in find_all mode are therefore exact. The depth-first walk is one
+loop over an explicit stack, so no graph size hits Python's recursion limit.
 
 Exhaustion is practical up to roughly 18 edges. Beyond that, set a node
 budget and treat the outcome as inconclusive.
@@ -109,28 +111,14 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     space was covered without a budget cut, and is therefore a proof of
     nonexistence. BUDGET_EXCEEDED reports the node count at the cut.
     """
-    if g.vertex_count == 0:
-        empty = Labeling(())
-        return SearchOutcome(
-            SearchVerdict.FOUND,
-            empty,
-            0,
-            1,
-            solutions=(empty,) if cfg.find_all else None,
-        )
-
+    if g.vertex_count > 2 * g.edge_count:
+        # Pigeonhole: the vertices need distinct labels from 0..2q-1.
+        return _none_exists(cfg)
     coloring = None
     if cfg.parity_precheck:
         check = parity_precheck(g)
         if isinstance(check, OddCycle):
-            return SearchOutcome(
-                SearchVerdict.EXHAUSTED_NOT_FOUND,
-                None,
-                0,
-                0,
-                solutions=() if cfg.find_all else None,
-                odd_cycle_witness=check.cycle,
-            )
+            return _none_exists(cfg, check.cycle)
         coloring = check.coloring
 
     first, nodes, sols, cut, collected = _enumerate(g, cfg, coloring)
@@ -147,15 +135,21 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     )
 
 
+def _none_exists(cfg: SearchConfig, witness: tuple[int, ...] | None = None) -> SearchOutcome:
+    """EXHAUSTED_NOT_FOUND proven before any node is explored."""
+    solutions = () if cfg.find_all else None
+    return SearchOutcome(SearchVerdict.EXHAUSTED_NOT_FOUND, None, 0, 0, solutions, witness)
+
+
 def _enumerate(g, cfg, coloring):
-    """Depth-first enumeration core.
+    """Depth-first enumeration core: one loop over an explicit stack, where
+    depth v labels vertex v and next_label[v] is the next candidate there.
 
     Returns (first_labeling, nodes, solutions, budget_cut, collected); a node
     is counted each time a candidate label survives all filters and is
-    committed.
+    committed. Requires vertex_count <= 2 * edge_count.
     """
-    nv, q = g.vertex_count, g.edge_count
-    limit = 2 * q
+    nv, limit = g.vertex_count, 2 * g.edge_count
     adj = g.adjacency
     comp_first = [0] * nv
     for comp in connected_components(g):
@@ -163,10 +157,13 @@ def _enumerate(g, cfg, coloring):
         for v in comp:
             comp_first[v] = head
     earlier = [tuple(u for u in adj[v] if u < v) for v in range(nv)]
+    # Within a component, labels after the first follow its two-coloring.
+    stride = [1 if coloring is None or comp_first[v] == v else 2 for v in range(nv)]
 
     labels = [-1] * nv
-    used_label = bytearray(max(limit, 1))
-    used_weight = bytearray(max(limit, 1))
+    next_label = [0] * nv
+    used_label = bytearray(limit)
+    used_weight = bytearray(limit)
     budget = cfg.node_budget
     find_all = cfg.find_all
 
@@ -176,9 +173,8 @@ def _enumerate(g, cfg, coloring):
     collected: list[Labeling] | None = [] if find_all else None
     cut = False
 
-    def extend(v: int) -> bool:
-        """Returns False to stop the whole search (first hit, or budget cut)."""
-        nonlocal nodes, sols, first, cut
+    v = 0
+    while v >= 0:
         if v == nv:
             sols += 1
             found = Labeling(tuple(labels))
@@ -186,53 +182,52 @@ def _enumerate(g, cfg, coloring):
                 first = found
             if collected is not None:
                 collected.append(found)
-            return find_all
-        if coloring is None or comp_first[v] == v:
-            candidates = range(limit)
+            if not find_all:
+                break
         else:
-            head = comp_first[v]
-            want = (labels[head] ^ coloring[v] ^ coloring[head]) & 1
-            candidates = range(want, limit, 2)
-        for x in candidates:
-            if used_label[x]:
-                continue
-            taken = []
-            feasible = True
-            for u in earlier[v]:
-                w = x - labels[u]
-                if w < 0:
-                    w = -w
-                if not (w & 1) or used_weight[w]:
-                    feasible = False
+            ev = earlier[v]
+            step = stride[v]
+            x = next_label[v]
+            while x < limit:
+                if not used_label[x]:
+                    for u in ev:
+                        w = x - labels[u]
+                        if w < 0:
+                            w = -w
+                        if not (w & 1) or used_weight[w]:
+                            # Release the weights marked before neighbour u.
+                            for t in ev:
+                                if t == u:
+                                    break
+                                used_weight[abs(x - labels[t])] = 0
+                            break
+                        used_weight[w] = 1
+                    else:
+                        break
+                x += step
+            if x < limit:
+                if nodes == budget:
+                    cut = True
                     break
-                used_weight[w] = 1
-                taken.append(w)
-            if not feasible:
-                for w in taken:
-                    used_weight[w] = 0
+                nodes += 1
+                used_label[x] = 1
+                labels[v] = x
+                next_label[v] = x + step
+                v += 1
+                if v < nv:
+                    head = comp_first[v]
+                    if stride[v] == 1:
+                        next_label[v] = 0
+                    else:
+                        next_label[v] = (labels[head] ^ coloring[v] ^ coloring[head]) & 1
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                nodes -= 1
-                cut = True
-                for w in taken:
-                    used_weight[w] = 0
-                return False
-            used_label[x] = 1
-            labels[v] = x
-            keep_going = extend(v + 1)
-            labels[v] = -1
+        # Backtrack one depth: free that vertex's label and its weights.
+        v -= 1
+        if v >= 0:
+            x = labels[v]
             used_label[x] = 0
-            for w in taken:
-                used_weight[w] = 0
-            if not keep_going:
-                return False
-        return True
-
-    if limit > 0 or nv == 0:
-        extend(0)
-    # limit == 0 with vertices present: no labels exist at all, the space is
-    # empty and the search exhausts immediately.
+            for u in earlier[v]:
+                used_weight[abs(x - labels[u])] = 0
     return first, nodes, sols, cut, collected
 
 

@@ -27,7 +27,6 @@ from oddgraceful import (
     search_odd_graceful,
     verify_odd_graceful,
 )
-from oddgraceful.cli import run_bench
 from oddgraceful.construct import BoundPolicy
 
 SWEEP = [
@@ -167,20 +166,28 @@ def test_criterion_6_oracle_existence(capsys):
 
 
 def test_criterion_7_construction_linearity(capsys):
-    rows, ratios = run_bench([100_000, 200_000, 1_000_000, 2_000_000], repeats=3)
-    by_base = {q: ratio for q, _, ratio in ratios}
-    verified_ok = all(row.verified for row in rows if row.verified is not None)
-    passed = (
-        set(by_base) == {100_000, 1_000_000}
-        and all(r <= 2.5 for r in by_base.values())
-        and verified_ok
-    )
-    times = ", ".join(f"q={row.edge_count}:{row.seconds:.3f}s" for row in rows)
+    # Best-of-3 construction time at each edge count q, on C40 plus the path
+    # that makes up the rest; outputs verified up to q = 1 000 000.
+    seconds = {}
+    verified_ok = True
+    for q in (100_000, 200_000, 1_000_000, 2_000_000):
+        spec = FamilySpec(40, q - 39)
+        best = float("inf")
+        labeling = None  # the previous size's output is freed before timing
+        for _ in range(3):
+            start = time.perf_counter()
+            labeling = label_closed_form(spec)
+            best = min(best, time.perf_counter() - start)
+        seconds[q] = best
+        if q <= 1_000_000:
+            verified_ok = verified_ok and verify_odd_graceful(make_union(spec), labeling).ok
+    ratios = {q: seconds[2 * q] / seconds[q] for q in (100_000, 1_000_000)}
+    passed = all(r <= 2.5 for r in ratios.values()) and verified_ok
+    times = ", ".join(f"q={q}:{t:.3f}s" for q, t in seconds.items())
     announce(capsys, 7, "construction linearity", passed,
              f"{times}; ratios "
-             + ", ".join(f"{q}->{2*q}:{r:.2f}" for q, r in sorted(by_base.items())))
-    assert set(by_base) == {100_000, 1_000_000}
-    assert all(r <= 2.5 for r in by_base.values()), by_base
+             + ", ".join(f"{q}->{2*q}:{r:.2f}" for q, r in ratios.items()))
+    assert all(r <= 2.5 for r in ratios.values()), ratios
     assert verified_ok
 
 

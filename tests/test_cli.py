@@ -48,9 +48,13 @@ def test_label_valid_instance(capsys):
     ],
 )
 def test_label_report_bytes_pinned(capsys, argv, sha256):
-    # Digests of the reports written by version 0.2.0.
+    # Digests of the reports written by version 0.2.0: with tool_version set
+    # back to 0.2.0, no other byte may differ.
     code, out, _ = run_cli(capsys, "label", *argv)
     assert code == 0
+    line = f'\n  "tool_version": "{oddgraceful.__version__}",\n'
+    assert out.count(line) == 1
+    out = out.replace(line, '\n  "tool_version": "0.2.0",\n')
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
@@ -156,6 +160,24 @@ def test_verify_rejects_non_integer_documents(tmp_path, capsys, field, value):
     assert err.startswith("error: malformed labeling document")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "error: invalid JSON: nested too deeply\n"),
+        ('{"kind": "labeling", "labels": [' + "9" * 5000 + "]}", "error: invalid JSON: Exceeds"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_verify_unparsable_json_exits_usage(tmp_path, capsys, text, message):
+    labeling_file = tmp_path / "labeling.json"
+    labeling_file.write_text(text)
+    graph_file = write_graph(tmp_path, make_path(2))
+    code, out, err = run_cli(capsys, "verify", graph_file, str(labeling_file))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(message)
+
+
 P2_DOCUMENT = {
     "kind": "labeling",
     "family": None,
@@ -259,6 +281,16 @@ def test_search_budget_exits_three(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "budget-exceeded"
 
 
+def test_search_deep_path_exits_three_at_budget(tmp_path, capsys):
+    graph_file = write_graph(tmp_path, make_path(1500))
+    code, out, err = run_cli(capsys, "search", graph_file, "--budget", "5000")
+    assert code == 3
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["verdict"] == "budget-exceeded"
+    assert doc["nodes_explored"] == 5000
+
+
 def test_search_negative_budget_exits_usage(tmp_path, capsys):
     graph_file = write_graph(tmp_path, make_cycle(6))
     code, out, err = run_cli(capsys, "search", graph_file, "--budget", "-5")
@@ -317,24 +349,11 @@ def test_dot_subcommand_with_labeling(tmp_path, capsys):
     assert '[label="11"]' in out
 
 
-def test_bench_small_run(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--q-list", "6,12", "--repeats", "1")
-    assert code == 0
-    assert "edge_count=6" in out
-    assert "ratio t(12)/t(6)" in out
-    assert "verify=pass" in out
-
-
-def test_bench_rejects_empty_list(capsys):
+def test_bench_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit) as exc_info:
-        main(["bench", "--q-list", ""])
+        main(["bench", "--q-list", "6,12"])
     assert exc_info.value.code == 2
-
-
-def test_bench_rejects_unrealizable_edge_count(capsys):
-    code, _, err = run_cli(capsys, "bench", "--q-list", "5")
-    assert code == 64
-    assert "edge count" in err
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_table_rejects_dot_format(capsys):

@@ -207,6 +207,53 @@ def test_parse_labeling_document_reports_json_line():
     assert exc_info.value.line == 2
 
 
+EDGE_LIST_LINES = st.one_of(
+    st.tuples(st.integers(-2, 9), st.integers(-2, 9)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.integers(-2, 12).map(lambda n: f"graph {n}"),
+    st.text(alphabet="0123456789 -#graph\t.x", max_size=12),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(EDGE_LIST_LINES, max_size=8).map("\n".join))
+def test_parse_edge_list_fails_only_with_package_errors(text):
+    try:
+        parse_edge_list(text)
+    except (ParseError, ValidationError):
+        pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def labeling_texts(draw):
+    """A valid P2 labeling document with up to three fields dropped or replaced."""
+    doc = {"kind": "labeling", "family": None, "edge_count": 1, "labels": [0, 1],
+           "weights": [1], "ok": True}
+    keys = st.sampled_from([*doc, "cycle_order"])
+    for key in draw(st.lists(keys, max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(max_size=30), labeling_texts()))
+def test_parse_labeling_document_fails_only_with_package_errors(text):
+    try:
+        parse_labeling_document(text)
+    except (ParseError, ValidationError):
+        pass
+
+
 def reference_layout(text):
     """The encoder emit_report must match: json.dumps with indent=2."""
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -189,6 +191,49 @@ def test_c6_first_hit_pinned():
     assert out.verdict is SearchVerdict.FOUND
     assert out.labeling == Labeling((0, 1, 4, 9, 2, 11))
     assert out.nodes_explored == 6
+
+
+@pytest.mark.parametrize(
+    "g, labels, nodes",
+    [
+        (make_path(2), (0, 1), 2),
+        (make_path(3), (0, 3, 2), 4),
+        (make_path(4), (0, 5, 2, 1), 9),
+        (make_path(5), (0, 7, 2, 1, 4), 22),
+        (make_path(6), (0, 9, 2, 1, 6, 3), 80),
+        (make_path(7), (0, 11, 2, 1, 6, 3, 10), 292),
+        (make_path(8), (0, 13, 2, 1, 6, 3, 12, 5), 1308),
+        (make_cycle(4), (0, 3, 2, 7), 7),
+        (make_cycle(8), (0, 1, 8, 3, 14, 5, 2, 15), 117),
+    ],
+    ids=["P2", "P3", "P4", "P5", "P6", "P7", "P8", "C4", "C8"],
+)
+def test_first_hit_pinned(g, labels, nodes):
+    # The other criterion-6 graphs; C6 is test_c6_first_hit_pinned.
+    out = search_odd_graceful(g)
+    assert out.verdict is SearchVerdict.FOUND
+    assert out.labeling == Labeling(labels)
+    assert out.nodes_explored == nodes
+
+
+def test_deep_path_stops_at_budget():
+    out = search_odd_graceful(make_path(1500), SearchConfig(node_budget=5000))
+    assert out.verdict is SearchVerdict.BUDGET_EXCEEDED
+    assert out.nodes_explored == 5000
+
+
+def test_more_vertices_than_labels_exhausts_without_allocating():
+    g = Graph(10**5, ((0, 1),))
+    tracemalloc.start()
+    try:
+        out = search_odd_graceful(g, SearchConfig(find_all=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
+    assert (out.nodes_explored, out.solutions_found, out.solutions) == (0, 0, ())
+    assert out.odd_cycle_witness is None
+    assert peak < 64 * 1024
 
 
 @settings(max_examples=40, deadline=None)
