@@ -29,7 +29,6 @@ is supplied (bare ids otherwise) and edge text is the induced weight.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -220,11 +219,11 @@ def _payload_body(payload) -> dict:
             "ok": payload.ok,
         }
     if isinstance(payload, VerifyReport):
-        violations = []
-        for violation in payload.violations:
-            entry = {"kind": VIOLATION_KINDS[type(violation)]}
-            entry.update(dataclasses.asdict(violation))
-            violations.append(entry)
+        # vars() is shallow: tuples stay tuples, which json encodes as arrays.
+        violations = [
+            {"kind": VIOLATION_KINDS[type(violation)], **vars(violation)}
+            for violation in payload.violations
+        ]
         return {"kind": "verify-report", "ok": payload.ok, "violations": violations}
     if isinstance(payload, SearchOutcome):
         return {

@@ -11,8 +11,9 @@ the report alone.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Union
 
 from .errors import IncompleteLabelingError
@@ -136,30 +137,17 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     q = g.edge_count
     top = 2 * q - 1
     violations: list[Violation] = []
+    if labels and (min(labels) < 0 or max(labels) > top):
+        violations += [VertexLabelOutOfRange(v, x) for v, x in enumerate(labels)
+                       if x < 0 or x > top]
+    violations += _collisions(DuplicateVertexLabel, labels, set(labels), range(len(labels)))
 
-    by_label: dict[int, list[int]] = defaultdict(list)
-    for v, x in enumerate(labels):
-        if x < 0 or x > top:
-            violations.append(VertexLabelOutOfRange(v, x))
-        by_label[x].append(v)
-    for x in sorted(by_label):
-        vs = by_label[x]
-        if len(vs) > 1:
-            violations.append(DuplicateVertexLabel(x, tuple(vs)))
-
-    by_weight: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for a, b in g.edges:
-        w = abs(labels[a] - labels[b])
-        if w % 2 == 0:
-            violations.append(EdgeWeightEven((a, b), w))
-        by_weight[w].append((a, b))
-    for w in sorted(by_weight):
-        es = by_weight[w]
-        if len(es) > 1:
-            violations.append(DuplicateEdgeWeight(w, tuple(es)))
+    weights = induced_weights(g, labeling)
+    violations += [EdgeWeightEven(e, w) for e, w in zip(g.edges, weights) if w % 2 == 0]
+    present = set(weights)
+    violations += _collisions(DuplicateEdgeWeight, weights, present, g.edges)
 
     required = set(range(1, 2 * q, 2))
-    present = set(by_weight)
     missing = tuple(sorted(required - present))
     extra = tuple(sorted(present - required))
     if missing or extra:
@@ -177,6 +165,17 @@ def _total_labels(g: Graph, labeling: Labeling) -> tuple[int, ...]:
             f"labeling covers {len(labels)} vertices, graph has {g.vertex_count}"
         )
     return labels
+
+
+def _collisions(make, values, distinct: set, items) -> list:
+    """make(value, items at its positions) per value held more than once, by
+    ascending value. `distinct` is set(values); without repeats nothing is built."""
+    if len(distinct) == len(values):
+        return []
+    groups = {x: [] for x, n in Counter(values).items() if n > 1}
+    for x, item in compress(zip(values, items), map(groups.__contains__, values)):
+        groups[x].append(item)
+    return [make(x, tuple(groups[x])) for x in sorted(groups)]
 
 
 def _quick_ok(g: Graph, labels: tuple[int, ...]) -> bool:

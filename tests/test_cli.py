@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oddgraceful
 from oddgraceful import FamilySpec, emit_edge_list, make_cycle, make_path, make_union
 from oddgraceful.cli import main
+
+from strategies import EDGE_LIST_LINES, labeling_texts, small_graphs
 
 SRC_DIR = str(Path(oddgraceful.__file__).resolve().parents[1])
 
@@ -360,3 +366,47 @@ def test_table_rejects_dot_format(capsys):
     code, _, err = run_cli(capsys, "table", "--m-max", "4", "--format", "dot")
     assert code == 64
     assert "DOT" in err
+
+
+# Exit codes of the README table, per command; argparse itself exits 2.
+README_EXIT_CODES = {"verify": {0, 1, 64}, "dot": {0, 64}, "search": {0, 2, 3, 64}}
+
+
+@st.composite
+def cli_inputs(draw):
+    """A graph text and a labeling text: a small graph with a labeling
+    document of about its size, or fuzzed text for either file."""
+    g = draw(small_graphs())
+    n, q = g.vertex_count, g.edge_count
+    label = st.integers(-2, 2 * q + 1)
+    labels = st.one_of(st.lists(label, min_size=n, max_size=n), st.lists(label, max_size=n + 1))
+    doc = {"kind": "labeling", "family": None, "edge_count": q, "labels": draw(labels),
+           "weights": [1] * q, "ok": True}
+    graph_text, labeling_text = emit_edge_list(g), json.dumps(doc)
+    if draw(st.booleans()):
+        graph_text = draw(st.lists(EDGE_LIST_LINES, max_size=8).map("\n".join))
+    if draw(st.booleans()):
+        labeling_text = draw(st.one_of(labeling_texts(), st.text(max_size=30)))
+    return graph_text, labeling_text
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cli_inputs(), st.sampled_from(sorted(README_EXIT_CODES)))
+def test_cli_exit_codes_follow_readme_table(tmp_path, inputs, command):
+    graph_file, labeling_file = tmp_path / "graph.txt", tmp_path / "labeling.json"
+    graph_file.write_text(inputs[0])
+    labeling_file.write_text(inputs[1])
+    argv = {
+        "verify": ["verify", str(graph_file), str(labeling_file)],
+        "dot": ["dot", str(graph_file), "--labeling", str(labeling_file)],
+        "search": ["search", str(graph_file), "--budget", "50"],
+    }[command]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            assert exc.code == 2
+            return
+    assert code in README_EXIT_CODES[command]

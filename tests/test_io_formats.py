@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from oddgraceful import (
     ParseError,
     SearchConfig,
     ValidationError,
+    __version__,
     build_labeling_document,
     emit_dot,
     emit_edge_list,
@@ -26,10 +30,10 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.construct import BoundPolicy
-from oddgraceful.io_formats import _dumps_indented
+from oddgraceful.io_formats import REPORT_VERSION, _dumps_indented
 from oddgraceful.labeling import VIOLATION_KINDS
 
-from strategies import family_specs, small_graphs
+from strategies import EDGE_LIST_LINES, family_specs, labeling_texts, small_graphs
 
 C4_P3 = Labeling((0, 11, 2, 7, 1, 4, 3))
 
@@ -207,14 +211,6 @@ def test_parse_labeling_document_reports_json_line():
     assert exc_info.value.line == 2
 
 
-EDGE_LIST_LINES = st.one_of(
-    st.tuples(st.integers(-2, 9), st.integers(-2, 9)).map(lambda e: f"{e[0]} {e[1]}"),
-    st.integers(-2, 12).map(lambda n: f"graph {n}"),
-    st.text(alphabet="0123456789 -#graph\t.x", max_size=12),
-    st.text(max_size=12),
-)
-
-
 @settings(max_examples=200)
 @given(st.lists(EDGE_LIST_LINES, max_size=8).map("\n".join))
 def test_parse_edge_list_fails_only_with_package_errors(text):
@@ -222,27 +218,6 @@ def test_parse_edge_list_fails_only_with_package_errors(text):
         parse_edge_list(text)
     except (ParseError, ValidationError):
         pass
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=10,
-)
-
-
-@st.composite
-def labeling_texts(draw):
-    """A valid P2 labeling document with up to three fields dropped or replaced."""
-    doc = {"kind": "labeling", "family": None, "edge_count": 1, "labels": [0, 1],
-           "weights": [1], "ok": True}
-    keys = st.sampled_from([*doc, "cycle_order"])
-    for key in draw(st.lists(keys, max_size=3)):
-        if draw(st.booleans()):
-            doc.pop(key, None)
-        else:
-            doc[key] = draw(JSON_VALUES)
-    return json.dumps(doc)
 
 
 @settings(max_examples=200)
@@ -278,6 +253,32 @@ def test_failing_verify_report_matches_reference_layout():
     assert {type(v) for v in report.violations} == set(VIOLATION_KINDS)
     text = emit_report(report)
     assert text == reference_layout(text)
+
+
+def test_many_violation_report_matches_asdict_layout():
+    # Violation bodies are built from vars(); dataclasses.asdict, which turns
+    # every nested tuple into a list, must give the same document.
+    rng = random.Random(3)
+    g = make_union(FamilySpec(8, 500))
+    labels = tuple(rng.randrange(-50, 2 * g.edge_count + 50) for _ in range(g.vertex_count))
+    report = verify_odd_graceful(g, Labeling(labels))
+    assert len(report.violations) >= 400
+    assert {type(v) for v in report.violations} == set(VIOLATION_KINDS)
+    body = {
+        "kind": "verify-report",
+        "ok": False,
+        "violations": [
+            {"kind": VIOLATION_KINDS[type(v)], **dataclasses.asdict(v)} for v in report.violations
+        ],
+    }
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    doc = {
+        "report_version": REPORT_VERSION,
+        "tool_version": __version__,
+        "input_digest": "sha256:" + hashlib.sha256(canonical.encode()).hexdigest(),
+        **body,
+    }
+    assert emit_report(report) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddgraceful import (
     DuplicateEdgeWeight,
@@ -20,7 +23,8 @@ from oddgraceful import (
 )
 from oddgraceful.construct import BoundPolicy
 
-from strategies import family_specs
+from reference_verifier import reference_verify_odd_graceful
+from strategies import family_specs, small_graphs
 
 # Verified fixture for the smallest family instance: cycle labels then path labels.
 C4_P3_LABELS = Labeling((0, 11, 2, 7, 1, 4, 3))
@@ -164,3 +168,55 @@ def test_complement_closure(spec):
     mirrored = complement_labeling(labeling, g.edge_count)
     assert verify_odd_graceful(g, mirrored).ok
     assert mirrored != labeling
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A small graph with labels drawn from [-2, 2q+1]: free, with forced
+    repeats, or all equal."""
+    g = draw(small_graphs())
+    n = g.vertex_count
+    labels = draw(st.lists(st.integers(-2, 2 * g.edge_count + 1), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["free", "repeats", "all-equal"]))
+    if shape == "all-equal":
+        labels = labels[:1] * n
+    elif shape == "repeats" and n > 1:
+        for _ in range(draw(st.integers(1, n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            labels[i] = labels[j]
+    return g, Labeling(tuple(labels))
+
+
+@settings(max_examples=500, deadline=None)
+@given(labeled_graphs())
+@example((Graph(0), Labeling(())))
+@example((Graph(1), Labeling((0,))))
+@example((Graph(3), Labeling((0, 0, 5))))
+@example((make_union(FamilySpec(4, 3)), C4_P3_LABELS))
+@example((make_path(5), Labeling((0, 0, 9, 6, 9))))
+def test_verifier_matches_reference(case):
+    # The reference is the 0.3.0 verifier; equality covers violation order.
+    g, labeling = case
+    assert verify_odd_graceful(g, labeling) == reference_verify_odd_graceful(g, labeling)
+
+
+def test_failing_verify_peak_memory():
+    # One swap of opposite-parity path labels at q = 20 000 gives a handful
+    # of violations. Grouping every label and every weight into lists, as
+    # 0.3.0 did, peaked at 11.8 MiB here.
+    spec = FamilySpec(40, 19_961)
+    g = make_union(spec)
+    labels = list(label_closed_form(spec).labels)
+    a = 40 + 5_000
+    b = next(v for v in range(40 + 12_000, len(labels) - 1) if (labels[v] - labels[a]) % 2)
+    labels[a], labels[b] = labels[b], labels[a]
+    labeling = Labeling(tuple(labels))
+    tracemalloc.start()
+    try:
+        report = verify_odd_graceful(g, labeling)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.ok
+    assert report == reference_verify_odd_graceful(g, labeling)
+    assert peak < 8 * 2**20
