@@ -6,7 +6,6 @@ an exhaustive search oracle for small graphs, and text formats for all of it.
 from ._version import __version__
 from .construct import (
     BoundPolicy,
-    cycle_edge_labels,
     label_algorithmic,
     label_closed_form,
     min_path_order,
@@ -45,12 +44,10 @@ from .labeling import (
     VertexLabelOutOfRange,
     VerifyReport,
     complement_labeling,
-    edge_weights,
+    induced_weights,
     verify_odd_graceful,
 )
 from .search import (
-    Bipartite,
-    OddCycle,
     SearchConfig,
     SearchOutcome,
     SearchVerdict,
@@ -62,7 +59,6 @@ __all__ = [
     "__version__",
     "BoundPolicy",
     "BoundViolationError",
-    "Bipartite",
     "DuplicateEdgeWeight",
     "DuplicateVertexLabel",
     "EdgeWeightEven",
@@ -73,7 +69,6 @@ __all__ = [
     "InvalidParameterError",
     "Labeling",
     "LabelingDocument",
-    "OddCycle",
     "OddGracefulError",
     "ParseError",
     "SearchConfig",
@@ -85,11 +80,10 @@ __all__ = [
     "build_labeling_document",
     "complement_labeling",
     "connected_components",
-    "cycle_edge_labels",
-    "edge_weights",
     "emit_dot",
     "emit_edge_list",
     "emit_report",
+    "induced_weights",
     "label_algorithmic",
     "label_closed_form",
     "make_cycle",

@@ -88,21 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="feasibility sweep around the minimum path order")
     p.add_argument("--m-max", type=int, required=True, help="largest cycle order (even, >= 4)")
     p.add_argument("--n-extra", type=int, default=0, help="rows past the minimum path order")
-    _common_flags(p)
+    _common_flags(p, formats=False)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("dot", help="render a graph file (optionally labeled) as DOT")
     p.add_argument("graph_file")
     p.add_argument("--labeling", default=None, help="labeling file to draw on the graph")
-    _common_flags(p)
+    _common_flags(p, formats=False)
     p.set_defaults(handler=_cmd_dot)
 
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, formats: bool = True) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--format", choices=["report", "dot"], default=None)
+    if formats:
+        p.add_argument("--format", choices=["report", "dot"], default=None)
 
 
 def _write(args, text: str) -> None:
@@ -163,8 +164,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.format == "dot":
-        raise InvalidParameterError("table output has no DOT form")
     if args.m_max < 4 or args.m_max % 2:
         raise InvalidParameterError(f"--m-max must be an even integer >= 4, got {args.m_max}")
     if args.n_extra < 0:

@@ -56,7 +56,7 @@ def label_closed_form(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     """Direct formula labeling; valid whenever the path order meets the minimum."""
     _check_bound(spec, policy)
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
-    k = spec.half_cycle
+    k = m // 2
     labels = [0] * (m + n)
 
     for i in range(1, m + 1):
@@ -99,20 +99,6 @@ def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     _cycle_pass(labels, m, q, closing_label)
     _path_pass(labels, m, n, closing_label, reserved_weight)
     return Labeling(tuple(labels))
-
-
-def cycle_edge_labels(spec: FamilySpec) -> tuple[int, ...]:
-    """Predicted cycle-edge weights in ring order.
-
-    The first m-2 edges take 2q-1, 2q-3, ..., the seam edge takes 2q-3m+5 and
-    the closing edge 2q-2m+3. Together the cycle consumes the top m-1 odd
-    values plus 2q-3m+5; the path consumes everything else.
-    """
-    m, q = spec.cycle_order, spec.edge_count
-    weights = [2 * q - (2 * i - 1) for i in range(1, m - 1)]
-    weights.append(2 * q - 3 * m + 5)
-    weights.append(2 * q - 2 * m + 3)
-    return tuple(weights)
 
 
 def _check_bound(spec: FamilySpec, policy: BoundPolicy) -> None:

@@ -9,6 +9,10 @@ from itertools import chain
 
 from .errors import InvalidParameterError, ValidationError
 
+# Largest vertex count of a Graph or FamilySpec, checked before any per-vertex
+# allocation; about twice the largest family graph the acceptance tests build.
+MAX_VERTICES = 2**22
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -38,6 +42,8 @@ class Graph:
         n = self.vertex_count
         if n < 0:
             raise ValidationError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise ValidationError(f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
         seen: set[int] = set()
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
@@ -62,18 +68,14 @@ class Graph:
             nbrs[b].append(a)
         return tuple(tuple(ns) for ns in nbrs)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Disjoint union of one even cycle and one path.
 
-    Derived quantities: ``edge_count`` is cycle_order + path_order - 1 (the
-    cycle contributes cycle_order edges, the path one fewer than its order)
-    and ``half_cycle`` is cycle_order / 2, whose parity selects the path
-    labeling branch and the minimum constructible path order.
+    ``edge_count`` is cycle_order + path_order - 1: the cycle contributes
+    cycle_order edges, the path one fewer than its order. The union has
+    cycle_order + path_order vertices, at most MAX_VERTICES.
     """
 
     cycle_order: int
@@ -85,14 +87,12 @@ class FamilySpec:
             raise InvalidParameterError(f"cycle order must be an even integer >= 4, got {m}")
         if n < 2:
             raise InvalidParameterError(f"path order must be at least 2, got {n}")
+        if m + n > MAX_VERTICES:
+            raise InvalidParameterError(f"cycle + path order must be <= {MAX_VERTICES}, got {m + n}")
 
     @property
     def edge_count(self) -> int:
         return self.cycle_order + self.path_order - 1
-
-    @property
-    def half_cycle(self) -> int:
-        return self.cycle_order // 2
 
 
 def make_path(length: int) -> Graph:

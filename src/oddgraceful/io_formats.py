@@ -5,6 +5,7 @@ Edge-list format (read and write)
     body lines             <a> <b>        one edge per line, 0-based ids
     '#' starts a comment running to end of line; blank lines are ignored.
     Without the header, vertex_count defaults to 1 + the largest id used.
+    A vertex count above graph.MAX_VERTICES (2**22) raises ValidationError.
 
 Report format (write, parse for labeling documents)
     JSON object with a fixed envelope and a kind-specific payload:
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from ._version import __version__
-from .errors import IncompleteLabelingError, ParseError
+from .errors import ParseError
 from .graph import Graph
 from .labeling import (
     VIOLATION_KINDS,
@@ -186,21 +187,14 @@ def _dumps_indented(doc: dict) -> str:
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
     """Render the graph in DOT, with labels on nodes and weights on edges when
     a labeling is given."""
-    if labeling is not None and len(labeling.labels) != g.vertex_count:
-        raise IncompleteLabelingError(
-            f"labeling covers {len(labeling.labels)} vertices, graph has {g.vertex_count}"
-        )
     lines = ["graph G {"]
-    for v in range(g.vertex_count):
-        if labeling is None:
-            lines.append(f"  {v};")
-        else:
-            lines.append(f'  {v} [label="{labeling.labels[v]}"];')
-    for a, b in g.edges:
-        if labeling is None:
-            lines.append(f"  {a} -- {b};")
-        else:
-            lines.append(f'  {a} -- {b} [label="{abs(labeling.labels[a] - labeling.labels[b])}"];')
+    if labeling is None:
+        lines.extend(f"  {v};" for v in range(g.vertex_count))
+        lines.extend(f"  {a} -- {b};" for a, b in g.edges)
+    else:
+        weights = induced_weights(g, labeling)
+        lines.extend(f'  {v} [label="{x}"];' for v, x in enumerate(labeling.labels))
+        lines.extend(f'  {a} -- {b} [label="{w}"];' for (a, b), w in zip(g.edges, weights))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

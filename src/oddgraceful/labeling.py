@@ -26,12 +26,6 @@ class Labeling:
 
     labels: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, vertex: int) -> int:
-        return self.labels[vertex]
-
 
 @dataclass(frozen=True)
 class DuplicateVertexLabel:
@@ -107,11 +101,6 @@ def induced_weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     """Induced weight |f(a) - f(b)| per edge, in the graph's edge order."""
     labels = _total_labels(g, labeling)
     return tuple([abs(labels[a] - labels[b]) for a, b in g.edges])
-
-
-def edge_weights(g: Graph, labeling: Labeling) -> list[tuple[tuple[int, int], int]]:
-    """Each edge paired with its induced weight, in the graph's edge order."""
-    return list(zip(g.edges, induced_weights(g, labeling)))
 
 
 def complement_labeling(labeling: Labeling, edge_count: int) -> Labeling:

@@ -32,20 +32,6 @@ from .graph import Graph, connected_components
 from .labeling import Labeling
 
 
-@dataclass(frozen=True)
-class Bipartite:
-    """Two-coloring of every vertex; color of vertex v is coloring[v]."""
-
-    coloring: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OddCycle:
-    """Witness cycle of odd length, as a vertex sequence closed by its last edge."""
-
-    cycle: tuple[int, ...]
-
-
 class SearchVerdict(enum.Enum):
     FOUND = "found"
     EXHAUSTED_NOT_FOUND = "exhausted-not-found"
@@ -80,8 +66,9 @@ class SearchOutcome:
     odd_cycle_witness: tuple[int, ...] | None = None
 
 
-def parity_precheck(g: Graph) -> Bipartite | OddCycle:
-    """Two-color the graph, or exhibit an odd cycle proving it cannot be done."""
+def parity_precheck(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(coloring, None) with the color of each vertex, or (None, odd_cycle) with a
+    witness cycle, closed by its last edge, proving no two-coloring exists."""
     color = [-1] * g.vertex_count
     parent = [-1] * g.vertex_count
     adj = g.adjacency
@@ -98,8 +85,8 @@ def parity_precheck(g: Graph) -> Bipartite | OddCycle:
                     parent[v] = u
                     queue.append(v)
                 elif color[v] == color[u]:
-                    return OddCycle(_extract_cycle(u, v, parent))
-    return Bipartite(tuple(color))
+                    return None, _extract_cycle(u, v, parent)
+    return tuple(color), None
 
 
 def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -116,10 +103,9 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
         return _none_exists(cfg)
     coloring = None
     if cfg.parity_precheck:
-        check = parity_precheck(g)
-        if isinstance(check, OddCycle):
-            return _none_exists(cfg, check.cycle)
-        coloring = check.coloring
+        coloring, odd_cycle = parity_precheck(g)
+        if odd_cycle is not None:
+            return _none_exists(cfg, odd_cycle)
 
     first, nodes, sols, cut, collected = _enumerate(g, cfg, coloring)
     if cut:

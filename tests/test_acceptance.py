@@ -166,21 +166,22 @@ def test_criterion_6_oracle_existence(capsys):
 
 
 def test_criterion_7_construction_linearity(capsys):
-    # Best-of-3 construction time at each edge count q, on C40 plus the path
-    # that makes up the rest; outputs verified up to q = 1 000 000.
-    seconds = {}
+    # Best construction time of 7 at each edge count q, on C40 plus the path
+    # that makes up the rest; outputs verified up to q = 1 000 000. Each round
+    # times every size once, so a slow spell of the host falls on both sides
+    # of a ratio instead of on one size's block of repeats.
+    sizes = (100_000, 200_000, 1_000_000, 2_000_000)
+    seconds = dict.fromkeys(sizes, float("inf"))
     verified_ok = True
-    for q in (100_000, 200_000, 1_000_000, 2_000_000):
-        spec = FamilySpec(40, q - 39)
-        best = float("inf")
-        labeling = None  # the previous size's output is freed before timing
-        for _ in range(3):
+    for round_no in range(7):
+        for q in sizes:
+            spec = FamilySpec(40, q - 39)
+            labeling = None  # the previous output is freed before timing
             start = time.perf_counter()
             labeling = label_closed_form(spec)
-            best = min(best, time.perf_counter() - start)
-        seconds[q] = best
-        if q <= 1_000_000:
-            verified_ok = verified_ok and verify_odd_graceful(make_union(spec), labeling).ok
+            seconds[q] = min(seconds[q], time.perf_counter() - start)
+            if round_no == 0 and q <= 1_000_000:
+                verified_ok = verified_ok and verify_odd_graceful(make_union(spec), labeling).ok
     ratios = {q: seconds[2 * q] / seconds[q] for q in (100_000, 1_000_000)}
     passed = all(r <= 2.5 for r in ratios.values()) and verified_ok
     times = ", ".join(f"q={q}:{t:.3f}s" for q, t in seconds.items())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oddgraceful
 from oddgraceful import FamilySpec, emit_edge_list, make_cycle, make_path, make_union
 from oddgraceful.cli import main
+from oddgraceful.graph import MAX_VERTICES
 
 from strategies import EDGE_LIST_LINES, labeling_texts, small_graphs
 
@@ -363,9 +364,57 @@ def test_bench_subcommand_is_gone(capsys):
 
 
 def test_table_rejects_dot_format(capsys):
-    code, _, err = run_cli(capsys, "table", "--m-max", "4", "--format", "dot")
+    # table has no --format flag, so argparse rejects it.
+    with pytest.raises(SystemExit) as exc_info:
+        main(["table", "--m-max", "4", "--format", "dot"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --format dot" in capsys.readouterr().err
+
+
+def test_dot_rejects_format(tmp_path, capsys):
+    graph_file = write_graph(tmp_path, make_cycle(4))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["dot", graph_file, "--format", "report"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format report" in captured.err
+
+
+@pytest.mark.parametrize("command", ["label", "verify", "search"])
+def test_format_flag_of_label_verify_search(tmp_path, capsys, command):
+    labeling_file = tmp_path / "labeling.json"
+    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(labeling_file))
+    graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
+    argv = {
+        "label": ["label", "--cycle", "4", "--path", "3"],
+        "verify": ["verify", graph_file, str(labeling_file)],
+        "search": ["search", graph_file],
+    }[command]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--format", "report") == (0, default, "")
+    code, dot, _ = run_cli(capsys, *argv, "--format", "dot")
+    assert code == 0
+    assert dot.startswith("graph G {")
+
+
+def test_label_past_vertex_bound_exits_usage(tmp_path):
+    proc = run_module("-m", "oddgraceful", "label", "--cycle", "4", "--path", str(10**12),
+                      cwd=tmp_path)
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_dot_header_past_vertex_bound_exits_usage(tmp_path, capsys):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(f"graph {MAX_VERTICES + 1}\n0 1\n")
+    code, out, err = run_cli(capsys, "dot", str(graph_file))
     assert code == 64
-    assert "DOT" in err
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the maximum" in err
 
 
 # Exit codes of the README table, per command; argparse itself exits 2.

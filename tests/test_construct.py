@@ -7,8 +7,7 @@ from oddgraceful import (
     FamilySpec,
     InvalidParameterError,
     Labeling,
-    cycle_edge_labels,
-    edge_weights,
+    induced_weights,
     label_algorithmic,
     label_closed_form,
     make_union,
@@ -107,7 +106,7 @@ def test_enforce_rejects_below_minimum_and_names_it():
 def test_force_emits_total_labeling_below_minimum():
     spec = FamilySpec(12, 2)
     labeling = label_closed_form(spec, BoundPolicy.FORCE)
-    assert len(labeling) == 14
+    assert len(labeling.labels) == 14
     assert all(0 <= x < 2 * spec.edge_count for x in labeling.labels)
 
 
@@ -144,15 +143,20 @@ def test_methods_agree_below_bound_too(spec):
     ],
 )
 def test_cycle_edge_labels_examples(m, n, expected):
-    assert cycle_edge_labels(FamilySpec(m, n)) == expected
+    spec = FamilySpec(m, n)
+    assert induced_weights(make_union(spec), label_closed_form(spec))[:m] == expected
 
 
 @settings(max_examples=60)
 @given(family_specs())
 def test_cycle_edge_labels_match_measured_weights(spec):
-    labeling = label_closed_form(spec)
-    measured = [w for _, w in edge_weights(make_union(spec), labeling)]
-    assert tuple(measured[: spec.cycle_order]) == cycle_edge_labels(spec)
+    # Cycle edges in ring order: the first m-2 take 2q-1, 2q-3, ..., the seam
+    # edge 2q-3m+5 and the closing edge 2q-2m+3.
+    m, q = spec.cycle_order, spec.edge_count
+    expected = tuple(2 * q - (2 * i - 1) for i in range(1, m - 1))
+    expected += (2 * q - 3 * m + 5, 2 * q - 2 * m + 3)
+    measured = induced_weights(make_union(spec), label_closed_form(spec))
+    assert measured[:m] == expected
 
 
 @settings(max_examples=60)
@@ -160,7 +164,7 @@ def test_cycle_edge_labels_match_measured_weights(spec):
 def test_weight_partition_between_cycle_and_path(spec):
     m, q = spec.cycle_order, spec.edge_count
     labeling = label_closed_form(spec)
-    weights = [w for _, w in edge_weights(make_union(spec), labeling)]
+    weights = induced_weights(make_union(spec), labeling)
     cycle_part = set(weights[:m])
     path_part = set(weights[m:])
     top_run = set(range(2 * q - 1, 2 * q - 2 * m + 2, -2))

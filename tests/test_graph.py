@@ -12,6 +12,7 @@ from oddgraceful import (
     make_path,
     make_union,
 )
+from oddgraceful.graph import MAX_VERTICES
 
 
 def test_make_path_single_vertex():
@@ -71,8 +72,8 @@ def test_union_components_recover_family():
     comps = connected_components(g)
     assert [len(c) for c in comps] == [8, 5]
     cycle, path = comps
-    cycle_degrees = sorted(g.degree(v) for v in cycle)
-    path_degrees = sorted(g.degree(v) for v in path)
+    cycle_degrees = sorted(len(g.adjacency[v]) for v in cycle)
+    path_degrees = sorted(len(g.adjacency[v]) for v in path)
     assert cycle_degrees == [2] * 8
     assert path_degrees == [1, 1, 2, 2, 2]
 
@@ -97,7 +98,22 @@ def test_family_spec_rejects_bad_orders(m, n):
 def test_family_spec_derived_quantities():
     spec = FamilySpec(8, 7)
     assert spec.edge_count == 14
-    assert spec.half_cycle == 4
+
+
+def test_family_spec_vertex_bound():
+    # Only specs are built here, never their graphs.
+    assert FamilySpec(4, MAX_VERTICES - 4).edge_count == MAX_VERTICES - 1
+    for m, n in [(4, MAX_VERTICES - 3), (4, 10**12), (10**12, 2)]:
+        with pytest.raises(InvalidParameterError, match=f"must be <= {MAX_VERTICES}"):
+            FamilySpec(m, n)
+
+
+def test_graph_vertex_bound():
+    # An edge-less Graph allocates nothing per vertex until adjacency is read.
+    assert Graph(MAX_VERTICES).vertex_count == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 10**12):
+        with pytest.raises(ValidationError, match=f"vertex count {n} exceeds the maximum"):
+            Graph(n, ((0, 1),))
 
 
 def test_graph_rejects_self_loop():
@@ -131,7 +147,7 @@ def test_graph_is_immutable():
 def test_adjacency():
     g = make_cycle(4)
     assert g.adjacency == ((1, 3), (0, 2), (1, 3), (2, 0))
-    assert g.degree(0) == 2
+    assert len(g.adjacency[0]) == 2
 
 
 def test_graph_range_check_precedes_duplicate_keys():

@@ -30,6 +30,7 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.construct import BoundPolicy
+from oddgraceful.graph import MAX_VERTICES
 from oddgraceful.io_formats import REPORT_VERSION, _dumps_indented
 from oddgraceful.labeling import VIOLATION_KINDS
 
@@ -114,6 +115,26 @@ def test_dot_without_labeling_uses_bare_ids():
 
 def test_dot_empty_graph():
     assert emit_dot(Graph(0)) == "graph G {\n}\n"
+
+
+def test_dot_text_pinned():
+    # The text written by version 0.3.0, labeled and bare.
+    labeled = (
+        'graph G {\n  0 [label="0"];\n  1 [label="11"];\n  2 [label="2"];\n  3 [label="7"];\n'
+        '  4 [label="1"];\n  5 [label="4"];\n  6 [label="3"];\n  0 -- 1 [label="11"];\n'
+        '  1 -- 2 [label="9"];\n  2 -- 3 [label="5"];\n  3 -- 0 [label="7"];\n'
+        '  4 -- 5 [label="3"];\n  5 -- 6 [label="1"];\n}\n'
+    )
+    assert emit_dot(make_union(FamilySpec(4, 3)), C4_P3) == labeled
+    assert emit_dot(make_path(3)) == "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
+
+
+def test_parse_edge_list_rejects_vertex_count_past_bound():
+    with pytest.raises(ValidationError, match="exceeds the maximum"):
+        parse_edge_list(f"graph {MAX_VERTICES + 1}\n0 1\n")
+    # Without a header the count is implied by the largest id.
+    with pytest.raises(ValidationError, match="exceeds the maximum"):
+        parse_edge_list("0 1000000000000\n")
 
 
 def test_dot_requires_total_labeling():

@@ -15,7 +15,7 @@ from oddgraceful import (
     Labeling,
     VertexLabelOutOfRange,
     complement_labeling,
-    edge_weights,
+    induced_weights,
     label_closed_form,
     make_path,
     make_union,
@@ -32,30 +32,30 @@ C4_P3_LABELS = Labeling((0, 11, 2, 7, 1, 4, 3))
 
 def test_edge_weights_single_edge():
     g = make_path(2)
-    assert edge_weights(g, Labeling((0, 1))) == [((0, 1), 1)]
+    assert induced_weights(g, Labeling((0, 1))) == (1,)
 
 
 def test_edge_weights_family_instance():
     g = make_union(FamilySpec(4, 3))
-    weights = [w for _, w in edge_weights(g, C4_P3_LABELS)]
-    assert weights == [11, 9, 5, 7, 3, 1]
+    assert induced_weights(g, C4_P3_LABELS) == (11, 9, 5, 7, 3, 1)
 
 
 def test_edge_weights_order_matches_edges():
-    g = make_union(FamilySpec(4, 3))
-    assert [e for e, _ in edge_weights(g, C4_P3_LABELS)] == list(g.edges)
+    # Weight i belongs to edge i, whichever way round the edge is stored.
+    g = Graph(4, ((0, 1), (2, 1), (3, 0)))
+    assert induced_weights(g, Labeling((0, 7, 2, 3))) == (7, 5, 3)
 
 
 def test_edge_weight_zero_on_constant_edge():
     g = make_path(2)
-    assert edge_weights(g, Labeling((5, 5))) == [((0, 1), 0)]
+    assert induced_weights(g, Labeling((5, 5))) == (0,)
     report = verify_odd_graceful(g, Labeling((5, 5)))
     assert not report.ok
 
 
 def test_edge_weights_requires_total_labeling():
     with pytest.raises(IncompleteLabelingError):
-        edge_weights(make_path(3), Labeling((0, 1)))
+        induced_weights(make_path(3), Labeling((0, 1)))
     with pytest.raises(IncompleteLabelingError):
         verify_odd_graceful(make_path(3), Labeling((0, 1)))
 
@@ -157,7 +157,7 @@ def test_parity_law_on_accepted_labelings(spec):
     labeling = label_closed_form(spec)
     assert verify_odd_graceful(g, labeling).ok
     for a, b in g.edges:
-        assert (labeling[a] + labeling[b]) % 2 == 1
+        assert (labeling.labels[a] + labeling.labels[b]) % 2 == 1
 
 
 @settings(max_examples=60)

@@ -5,12 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oddgraceful import (
-    Bipartite,
     FamilySpec,
     Graph,
     InvalidParameterError,
     Labeling,
-    OddCycle,
     SearchConfig,
     SearchVerdict,
     complement_labeling,
@@ -34,22 +32,25 @@ def is_genuine_odd_cycle(g, cycle):
 
 
 def test_precheck_finds_odd_cycle_in_c5():
-    result = parity_precheck(make_cycle(5))
-    assert isinstance(result, OddCycle)
-    assert len(result.cycle) == 5
-    assert is_genuine_odd_cycle(make_cycle(5), result.cycle)
+    coloring, cycle = parity_precheck(make_cycle(5))
+    assert coloring is None
+    assert len(cycle) == 5
+    assert is_genuine_odd_cycle(make_cycle(5), cycle)
 
 
 def test_precheck_two_colors_c6():
-    result = parity_precheck(make_cycle(6))
-    assert isinstance(result, Bipartite)
+    coloring, cycle = parity_precheck(make_cycle(6))
+    assert cycle is None
     g = make_cycle(6)
+    assert len(coloring) == 6
     for a, b in g.edges:
-        assert result.coloring[a] != result.coloring[b]
+        assert coloring[a] != coloring[b]
 
 
 def test_precheck_union_is_bipartite():
-    assert isinstance(parity_precheck(make_union(FamilySpec(8, 7))), Bipartite)
+    coloring, cycle = parity_precheck(make_union(FamilySpec(8, 7)))
+    assert cycle is None
+    assert len(coloring) == 15
 
 
 def test_triangle_has_no_labeling():
@@ -71,7 +72,8 @@ def test_square_is_found_with_full_weight_set():
     assert out.verdict is SearchVerdict.FOUND
     report = verify_odd_graceful(g, out.labeling)
     assert report.ok
-    weights = sorted(abs(out.labeling[a] - out.labeling[b]) for a, b in g.edges)
+    labels = out.labeling.labels
+    weights = sorted(abs(labels[a] - labels[b]) for a, b in g.edges)
     assert weights == [1, 3, 5, 7]
 
 
@@ -239,8 +241,8 @@ def test_more_vertices_than_labels_exhausts_without_allocating():
 @settings(max_examples=40, deadline=None)
 @given(small_graphs(max_vertices=6))
 def test_odd_cycle_graphs_never_have_labelings(g):
-    check = parity_precheck(g)
-    assume(isinstance(check, OddCycle))
+    _, odd_cycle = parity_precheck(g)
+    assume(odd_cycle is not None)
     assume(g.edge_count <= 8)
     out = search_odd_graceful(g, SearchConfig(parity_precheck=False))
     assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
