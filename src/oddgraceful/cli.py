@@ -25,13 +25,13 @@ from .construct import (
 from .errors import InvalidParameterError, OddGracefulError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
-    build_labeling_document,
+    LabelingDocument,
     emit_dot,
     emit_report,
     parse_edge_list,
     parse_labeling_document,
 )
-from .labeling import Labeling, verify_odd_graceful
+from .labeling import Labeling, _verify, verify_odd_graceful
 from .search import SearchConfig, SearchVerdict, search_odd_graceful
 
 EXIT_OK = 0
@@ -119,11 +119,15 @@ def _cmd_label(args) -> int:
     construct = label_closed_form if args.method == "closed" else label_algorithmic
     labeling = construct(spec, policy)
     g = make_union(spec)
-    report = verify_odd_graceful(g, labeling)
+    report, weights = _verify(g, labeling)
     if args.format == "dot":
         _write(args, emit_dot(g, labeling))
     else:
-        doc = build_labeling_document(g, labeling, report.ok, family=(args.cycle, args.path))
+        family = (args.cycle, args.path)
+        doc = LabelingDocument(family, g.edge_count, labeling.labels, weights, report.ok)
+        # The edge tuples are the largest object here; free them before the
+        # report text is laid out.
+        del g
         _write(args, emit_report(doc))
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -168,6 +172,9 @@ def _cmd_table(args) -> int:
         raise InvalidParameterError(f"--m-max must be an even integer >= 4, got {args.m_max}")
     if args.n_extra < 0:
         raise InvalidParameterError(f"--n-extra must be non-negative, got {args.n_extra}")
+    # The largest row comes last; its spec rejects a sweep past the vertex
+    # bound before any row is built.
+    FamilySpec(args.m_max, min_path_order(args.m_max) + args.n_extra)
     lines = ["cycle  path  min-path  result"]
     all_required_pass = True
     for m in range(4, args.m_max + 1, 2):

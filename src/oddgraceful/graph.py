@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import InvalidParameterError, ValidationError
 
@@ -55,6 +55,16 @@ class Graph:
             if key in seen:
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(key)
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """A Graph from a builder whose edges are valid by construction: a
+        tuple of int 2-tuples, in range, without self-loops or duplicates.
+        Skips __post_init__, whose checks cost more than the build itself."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -114,12 +124,15 @@ def make_union(spec: FamilySpec) -> Graph:
     path vertices follow as ids cycle_order..cycle_order+path_order-1.
 
     Cycle edges come first in the edge list, then path edges, so edge-indexed
-    reports line up with the construction order.
+    reports line up with the construction order. FamilySpec has already
+    bounded the vertex count, so the graph is built without validation.
     """
     m, n = spec.cycle_order, spec.path_order
     edges = [(i, (i + 1) % m) for i in range(m)]
-    edges.extend(zip(range(m, m + n - 1), range(m + 1, m + n)))
-    return Graph(m + n, tuple(edges))
+    # One int object per path vertex, shared by the two edges that meet there.
+    path = list(range(m, m + n))
+    edges.extend(zip(path, islice(path, 1, None)))
+    return Graph._trusted(m + n, tuple(edges))
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -149,39 +149,60 @@ def emit_report(
     payload: VerifyReport | SearchOutcome | LabelingDocument,
     source_text: str | None = None,
 ) -> str:
-    """Serialize a report; byte-stable for equal inputs within a release."""
+    """Serialize a report; byte-stable for equal inputs within a release.
+
+    Without source_text, input_digest is the SHA-256 of the compact text
+    json.dumps(body, sort_keys=True, separators=(",", ":")). That text is
+    hashed value by value, never held whole.
+    """
     body = _payload_body(payload)
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    digest_input = canonical if source_text is None else source_text
-    digest = hashlib.sha256(digest_input.encode()).hexdigest()
-    doc = {
-        "report_version": REPORT_VERSION,
-        "tool_version": __version__,
-        "input_digest": f"sha256:{digest}",
-        **body,
-    }
-    return _dumps_indented(doc)
+    digest = hashlib.sha256()
+    if source_text is not None:
+        digest.update(source_text.encode())
+    texts = {}
+    separator = "{"
+    for key in sorted(body):
+        texts[key], compact = _layouts(body[key], compact=source_text is None)
+        if compact is not None:
+            digest.update(f"{separator}{json.dumps(key)}:".encode())
+            digest.update(compact.encode())
+            separator = ","
+    if source_text is None:
+        digest.update(b"}")
+    texts["report_version"] = json.dumps(REPORT_VERSION)
+    texts["tool_version"] = json.dumps(__version__)
+    texts["input_digest"] = json.dumps(f"sha256:{digest.hexdigest()}")
+    return _join_indented(texts)
 
 
-def _dumps_indented(doc: dict) -> str:
-    """Same text as json.dumps(doc, indent=2, sort_keys=True) + "\n" for a
-    non-empty dict with string keys, such as a report envelope.
+def _layouts(value, compact: bool) -> tuple[str, str | None]:
+    """The indent=2 text of a value one level inside an object and, when
+    asked for, its compact text.
 
-    The indenting encoder runs in pure Python, so each top-level value goes
-    through it on its own, except non-empty int arrays, which are laid out by
-    join. Re-indenting a value by replacing newlines is exact because the
+    The indenting encoder runs in pure Python, so a non-empty int array is
+    laid out by join instead, from digits made once for both texts.
+    Re-indenting encoder output by replacing newlines is exact because the
     encoder escapes every newline inside a string.
     """
-    items = []
-    for key in sorted(doc):
-        value = doc[key]
-        # type() rather than isinstance(): bool is a subclass of int.
-        if type(value) is list and value and set(map(type, value)) <= {int}:
-            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    # type() rather than isinstance(): bool is a subclass of int.
+    if type(value) in (list, tuple) and value and set(map(type, value)) <= {int}:
+        pieces = list(map(str, value))
+        indented = "[\n    " + ",\n    ".join(pieces) + "\n  ]"
+        return indented, "[" + ",".join(pieces) + "]" if compact else None
+    indented = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return indented, json.dumps(value, sort_keys=True, separators=(",", ":")) if compact else None
+
+
+def _join_indented(texts: dict[str, str]) -> str:
+    """Lay out an object from the indented text of each value, in key order,
+    without copying the value texts into intermediate strings."""
+    parts = []
+    separator = "{\n  "
+    for key in sorted(texts):
+        parts += (separator, json.dumps(key), ": ", texts[key])
+        separator = ",\n  "
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
@@ -208,8 +229,9 @@ def _payload_body(payload) -> dict:
             "kind": "labeling",
             "family": family,
             "edge_count": payload.edge_count,
-            "labels": list(payload.labels),
-            "weights": list(payload.weights),
+            # tuple() returns a tuple argument itself, without a copy.
+            "labels": tuple(payload.labels),
+            "weights": tuple(payload.weights),
             "ok": payload.ok,
         }
     if isinstance(payload, VerifyReport):

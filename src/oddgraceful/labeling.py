@@ -119,11 +119,18 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     labels by ascending label, even weights in edge order, duplicated weights
     by ascending weight, and finally the weight-set difference if any.
     """
-    labels = _total_labels(g, labeling)
-    if _quick_ok(g, labels):
-        return VerifyReport(True, ())
+    return _verify(g, labeling)[0]
 
-    q = g.edge_count
+
+def _verify(g: Graph, labeling: Labeling) -> tuple[VerifyReport, tuple[int, ...]]:
+    """verify_odd_graceful plus the induced weights it computed, so a caller
+    that also reports the weights does not compute them again."""
+    weights = induced_weights(g, labeling)  # checks that the labeling is total
+    labels = labeling.labels
+    if _quick_ok(labels, weights):
+        return VerifyReport(True, ()), weights
+
+    q = len(weights)
     top = 2 * q - 1
     violations: list[Violation] = []
     if labels and (min(labels) < 0 or max(labels) > top):
@@ -131,7 +138,6 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
                        if x < 0 or x > top]
     violations += _collisions(DuplicateVertexLabel, labels, set(labels), range(len(labels)))
 
-    weights = induced_weights(g, labeling)
     violations += [EdgeWeightEven(e, w) for e, w in zip(g.edges, weights) if w % 2 == 0]
     present = set(weights)
     violations += _collisions(DuplicateEdgeWeight, weights, present, g.edges)
@@ -144,7 +150,7 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
 
     # The quick pass already rejected, so something must have been found.
     assert violations
-    return VerifyReport(False, tuple(violations))
+    return VerifyReport(False, tuple(violations)), weights
 
 
 def _total_labels(g: Graph, labeling: Labeling) -> tuple[int, ...]:
@@ -167,27 +173,24 @@ def _collisions(make, values, distinct: set, items) -> list:
     return [make(x, tuple(groups[x])) for x in sorted(groups)]
 
 
-def _quick_ok(g: Graph, labels: tuple[int, ...]) -> bool:
+def _quick_ok(labels: tuple[int, ...], weights: tuple[int, ...]) -> bool:
     """Flat-array validity check, linear in q; avoids building violation
     details on the hot path (large constructions are verified through here).
 
-    q distinct odd weights within [1, 2q-1] necessarily cover the whole odd
-    set, so no explicit set comparison is needed.
+    Labels in [0, 2q-1] bound every weight by 2q-1, and q distinct odd
+    weights within [1, 2q-1] necessarily cover the whole odd set, so no
+    explicit set comparison is needed.
     """
-    q = g.edge_count
-    limit = 2 * q
+    limit = 2 * len(weights)
     if limit == 0:
-        return g.vertex_count == 0
+        return not labels
     seen_label = bytearray(limit)
     for x in labels:
         if x < 0 or x >= limit or seen_label[x]:
             return False
         seen_label[x] = 1
     seen_weight = bytearray(limit)
-    for a, b in g.edges:
-        w = labels[a] - labels[b]
-        if w < 0:
-            w = -w
+    for w in weights:
         if not (w & 1) or seen_weight[w]:
             return False
         seen_weight[w] = 1

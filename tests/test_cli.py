@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,15 @@ def test_label_valid_instance(capsys):
             ("--cycle", "42", "--path", "1000", "--method", "algo"),
             "b4729a548ce02565ea49bbe585e44aff819c59b613091639c51b621ef96d5a22",
         ),
+        # The label-200k benchmark sizes.
+        (
+            ("--cycle", "40", "--path", "199961"),
+            "289e85898ed08f3c1bb55aa5c5bff12847602c97612c27956c4a46d9d67255ca",
+        ),
+        (
+            ("--cycle", "42", "--path", "199959", "--method", "algo"),
+            "886f3525571b07c3fe0542bd82d99c3531b6173fa4c21e047e2e74398cf549a0",
+        ),
     ],
 )
 def test_label_report_bytes_pinned(capsys, argv, sha256):
@@ -63,6 +73,22 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
     assert out.count(line) == 1
     out = out.replace(line, '\n  "tool_version": "0.2.0",\n')
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_label_peak_memory(tmp_path):
+    # The graph is freed before the report is laid out, and each int array is
+    # turned into digits once. Validating the graph and converting the digits
+    # twice peaked at 7.4 MiB here; keeping the graph alive through the emit
+    # reads 5.3 MiB.
+    out = str(tmp_path / "l.json")
+    tracemalloc.start()
+    try:
+        code = main(["label", "--cycle", "40", "--path", "19961", "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20
 
 
 def test_label_below_minimum_requires_force(capsys):
@@ -239,10 +265,10 @@ def test_inconsistent_labeling_document_exits_usage(tmp_path, capsys, command, c
     assert err == f"error: {message}\n"
 
 
-def run_module(*args, cwd):
+def run_module(*args, cwd, timeout=60):
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -338,6 +364,19 @@ def test_table_minimum_window(capsys):
     lines = out.splitlines()
     assert any(line.startswith("    8     7") and "PASS" in line for line in lines)
     assert any(line.startswith("    8     6") and "FAIL" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, total",
+    [(("--m-max", "4194304"), 8388607), (("--m-max", "4", "--n-extra", "4194304"), 4194311)],
+)
+def test_table_rejects_sweep_past_vertex_bound(tmp_path, argv, total):
+    # The largest row is checked before any row is built; without that check
+    # these sweeps run for hours before they reach it.
+    proc = run_module("-m", "oddgraceful", "table", *argv, cwd=tmp_path, timeout=10)
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cycle + path order must be <= {MAX_VERTICES}, got {total}\n"
 
 
 def test_dot_subcommand(tmp_path, capsys):

@@ -11,6 +11,7 @@ from oddgraceful import (
     make_cycle,
     make_path,
     make_union,
+    min_path_order,
 )
 from oddgraceful.graph import MAX_VERTICES
 
@@ -182,3 +183,15 @@ def test_graph_coerces_other_edge_forms():
         assert type(g.edges) is tuple
         assert {type(e) for e in g.edges} == {tuple}
         assert {type(v) for e in g.edges for v in e} == {int}
+
+
+def test_make_union_passes_full_validation():
+    # make_union skips Graph validation; over the acceptance criterion 1
+    # sweep, the validating constructor must accept its edges unchanged.
+    for m in range(4, 42, 2):
+        for n in range(min_path_order(m), min_path_order(m) + 12):
+            spec = FamilySpec(m, n)
+            g = make_union(spec)
+            assert g == Graph(spec.cycle_order + spec.path_order, g.edges)
+            assert {type(e) for e in g.edges} == {tuple}
+            assert {type(v) for e in g.edges for v in e} == {int}

@@ -31,8 +31,17 @@ from oddgraceful import (
 )
 from oddgraceful.construct import BoundPolicy
 from oddgraceful.graph import MAX_VERTICES
-from oddgraceful.io_formats import REPORT_VERSION, _dumps_indented
-from oddgraceful.labeling import VIOLATION_KINDS
+from oddgraceful.io_formats import REPORT_VERSION, LabelingDocument, _join_indented, _layouts
+from oddgraceful.labeling import (
+    VIOLATION_KINDS,
+    DuplicateEdgeWeight,
+    DuplicateVertexLabel,
+    EdgeWeightEven,
+    EdgeWeightSetMismatch,
+    VerifyReport,
+    VertexLabelOutOfRange,
+)
+from oddgraceful.search import SearchOutcome, SearchVerdict
 
 from strategies import EDGE_LIST_LINES, family_specs, labeling_texts, small_graphs
 
@@ -333,4 +342,97 @@ json_values = st.recursive(
     )
 )
 def test_dumps_indented_matches_json_dumps(doc):
-    assert _dumps_indented(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    layouts = {key: _layouts(value, compact=True) for key, value in doc.items()}
+    indented = {key: text for key, (text, _) in layouts.items()}
+    assert _join_indented(indented) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for key, (_, compact) in layouts.items():
+        assert compact == json.dumps(doc[key], sort_keys=True, separators=(",", ":"))
+
+
+def reference_body(payload) -> dict:
+    """The report body, built here from the payload's fields."""
+    if isinstance(payload, LabelingDocument):
+        family = None
+        if payload.family is not None:
+            family = dict(zip(("cycle_order", "path_order"), payload.family))
+        return {"kind": "labeling", "family": family, "edge_count": payload.edge_count,
+                "labels": list(payload.labels), "weights": list(payload.weights),
+                "ok": payload.ok}
+    if isinstance(payload, VerifyReport):
+        violations = [{"kind": VIOLATION_KINDS[type(v)], **dataclasses.asdict(v)}
+                      for v in payload.violations]
+        return {"kind": "verify-report", "ok": payload.ok, "violations": violations}
+    return {
+        "kind": "search-outcome",
+        "verdict": payload.verdict.value,
+        "nodes_explored": payload.nodes_explored,
+        "solutions_found": payload.solutions_found,
+        "labels": list(payload.labeling.labels) if payload.labeling else None,
+        "odd_cycle_witness": list(payload.odd_cycle_witness) if payload.odd_cycle_witness else None,
+    }
+
+
+def reference_report(payload, source_text=None) -> str:
+    """The report as the stdlib encoder lays it out: the whole envelope through
+    json.dumps(indent=2), input_digest over the source text or the compact body."""
+    body = reference_body(payload)
+    if source_text is None:
+        source_text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    envelope = {
+        "report_version": REPORT_VERSION,
+        "tool_version": __version__,
+        "input_digest": "sha256:" + hashlib.sha256(source_text.encode()).hexdigest(),
+        **body,
+    }
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+# Arrays that must take the int-array layout and arrays that must not: empty,
+# negative and large ints, and bools alone or mixed in (bool subclasses int).
+int_arrays = st.one_of(
+    st.lists(st.integers(), max_size=8),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+    st.lists(st.integers(-5, 5) | st.booleans(), min_size=1, max_size=6),
+).map(tuple)
+pairs = st.tuples(st.integers(), st.integers())
+small_ints = st.integers(-3, 40)
+
+labeling_documents = st.builds(
+    LabelingDocument,
+    family=st.none() | pairs,
+    edge_count=st.integers(),
+    labels=int_arrays,
+    weights=int_arrays,
+    ok=st.booleans(),
+)
+violations = st.one_of(
+    st.builds(DuplicateVertexLabel, small_ints, st.lists(small_ints, max_size=4).map(tuple)),
+    st.builds(VertexLabelOutOfRange, small_ints, st.integers()),
+    st.builds(EdgeWeightEven, pairs, small_ints),
+    st.builds(DuplicateEdgeWeight, small_ints, st.lists(pairs, max_size=3).map(tuple)),
+    st.builds(
+        EdgeWeightSetMismatch,
+        st.lists(small_ints, max_size=4).map(tuple),
+        st.lists(small_ints, max_size=4).map(tuple),
+    ),
+)
+verify_reports = st.lists(violations, max_size=5).map(
+    lambda vs: VerifyReport(not vs, tuple(vs))
+)
+search_outcomes = st.builds(
+    SearchOutcome,
+    verdict=st.sampled_from(SearchVerdict),
+    labeling=st.none() | st.lists(st.integers(), max_size=6).map(lambda xs: Labeling(tuple(xs))),
+    nodes_explored=st.integers(0),
+    solutions_found=st.integers(0),
+    odd_cycle_witness=st.none() | st.lists(st.integers(), max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(labeling_documents, verify_reports, search_outcomes),
+    st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+def test_emit_report_matches_reference_encoder(payload, source_text):
+    assert emit_report(payload, source_text) == reference_report(payload, source_text)
