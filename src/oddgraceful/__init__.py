@@ -21,7 +21,6 @@ from .errors import (
 from .graph import (
     FamilySpec,
     Graph,
-    connected_components,
     make_cycle,
     make_path,
     make_union,
@@ -79,7 +78,6 @@ __all__ = [
     "VertexLabelOutOfRange",
     "build_labeling_document",
     "complement_labeling",
-    "connected_components",
     "emit_dot",
     "emit_edge_list",
     "emit_report",

@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_file")
     p.add_argument("--budget", type=int, default=None, help="backtrack-node cap")
     p.add_argument("--all", action="store_true", help="count every solution")
-    p.add_argument("--no-precheck", action="store_true", help="disable the parity precheck")
     _common_flags(p)
     p.set_defaults(handler=_cmd_search)
 
@@ -148,11 +147,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     graph_text = Path(args.graph_file).read_text()
     g = parse_edge_list(graph_text)
-    cfg = SearchConfig(
-        node_budget=args.budget,
-        find_all=args.all,
-        parity_precheck=not args.no_precheck,
-    )
+    cfg = SearchConfig(node_budget=args.budget, find_all=args.all)
     outcome = search_odd_graceful(g, cfg)
     if args.format == "dot":
         if outcome.labeling is None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -133,26 +132,3 @@ def make_union(spec: FamilySpec) -> Graph:
     path = list(range(m, m + n))
     edges.extend(zip(path, islice(path, 1, None)))
     return Graph._trusted(m + n, tuple(edges))
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by their smallest vertex."""
-    seen = [False] * g.vertex_count
-    adj = g.adjacency
-    components = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        members = [start]
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    members.append(v)
-                    queue.append(v)
-        members.sort()
-        components.append(members)
-    return components

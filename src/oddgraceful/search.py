@@ -12,10 +12,12 @@ at all; with the precheck enabled such graphs are rejected immediately with a
 witness cycle. A graph with more vertices than the 2q labels 0..2q-1 has
 none either, by pigeonhole, and is rejected before anything is allocated.
 
-Within a component the first vertex keeps both parities available, which
-explores both polarities of the two-coloring exactly once each; solution
-counts in find_all mode are therefore exact. The depth-first walk is one
-loop over an explicit stack, so no graph size hits Python's recursion limit.
+The precheck is one breadth-first walk that two-colors each component from
+its smallest vertex, its head. The head keeps both parities available, which
+explores both polarities exactly once each, and every later vertex takes its
+color's parity; solution counts in find_all mode are therefore exact. The
+depth-first walk is one loop over an explicit stack, so no graph size hits
+Python's recursion limit.
 
 Exhaustion is practical up to roughly 18 edges. Beyond that, set a node
 budget and treat the outcome as inconclusive.
@@ -28,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .graph import Graph, connected_components
+from .graph import Graph
 from .labeling import Labeling
 
 
@@ -43,7 +45,8 @@ class SearchConfig:
     """node_budget caps backtrack nodes (None = run to exhaustion; a negative
     budget raises InvalidParameterError); find_all counts and collects every
     solution instead of stopping at the first; parity_precheck two-colors the
-    graph first and rejects odd cycles."""
+    graph first and rejects odd cycles. Off, the graph is not walked and every
+    label is tried at every vertex: the tests' unpruned reference."""
 
     node_budget: int | None = None
     find_all: bool = False
@@ -69,7 +72,15 @@ class SearchOutcome:
 def parity_precheck(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """(coloring, None) with the color of each vertex, or (None, odd_cycle) with a
     witness cycle, closed by its last edge, proving no two-coloring exists."""
+    coloring, _, odd_cycle = _two_color(g)
+    return coloring, odd_cycle
+
+
+def _two_color(g: Graph):
+    """parity_precheck's walk, which also returns head: head[v] is the smallest
+    vertex of v's component, where its walk started with color 0."""
     color = [-1] * g.vertex_count
+    head = list(range(g.vertex_count))
     parent = [-1] * g.vertex_count
     adj = g.adjacency
     for start in range(g.vertex_count):
@@ -82,11 +93,12 @@ def parity_precheck(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] |
             for v in adj[u]:
                 if color[v] == -1:
                     color[v] = color[u] ^ 1
+                    head[v] = start
                     parent[v] = u
                     queue.append(v)
                 elif color[v] == color[u]:
-                    return None, _extract_cycle(u, v, parent)
-    return tuple(color), None
+                    return None, None, _extract_cycle(u, v, parent)
+    return tuple(color), head, None
 
 
 def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -101,13 +113,13 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     if g.vertex_count > 2 * g.edge_count:
         # Pigeonhole: the vertices need distinct labels from 0..2q-1.
         return _none_exists(cfg)
-    coloring = None
+    coloring = head = None
     if cfg.parity_precheck:
-        coloring, odd_cycle = parity_precheck(g)
+        coloring, head, odd_cycle = _two_color(g)
         if odd_cycle is not None:
             return _none_exists(cfg, odd_cycle)
 
-    first, nodes, sols, cut, collected = _enumerate(g, cfg, coloring)
+    first, nodes, sols, cut, collected = _enumerate(g, cfg, coloring, head)
     if cut:
         verdict = SearchVerdict.BUDGET_EXCEEDED
     else:
@@ -127,9 +139,10 @@ def _none_exists(cfg: SearchConfig, witness: tuple[int, ...] | None = None) -> S
     return SearchOutcome(SearchVerdict.EXHAUSTED_NOT_FOUND, None, 0, 0, solutions, witness)
 
 
-def _enumerate(g, cfg, coloring):
+def _enumerate(g, cfg, coloring, head):
     """Depth-first enumeration core: one loop over an explicit stack, where
     depth v labels vertex v and next_label[v] is the next candidate there.
+    coloring and head come from _two_color, or are None to try every label.
 
     Returns (first_labeling, nodes, solutions, budget_cut, collected); a node
     is counted each time a candidate label survives all filters and is
@@ -137,14 +150,9 @@ def _enumerate(g, cfg, coloring):
     """
     nv, limit = g.vertex_count, 2 * g.edge_count
     adj = g.adjacency
-    comp_first = [0] * nv
-    for comp in connected_components(g):
-        head = comp[0]
-        for v in comp:
-            comp_first[v] = head
     earlier = [tuple(u for u in adj[v] if u < v) for v in range(nv)]
-    # Within a component, labels after the first follow its two-coloring.
-    stride = [1 if coloring is None or comp_first[v] == v else 2 for v in range(nv)]
+    # Within a component, labels after the head's follow its two-coloring.
+    stride = [1 if coloring is None or head[v] == v else 2 for v in range(nv)]
 
     labels = [-1] * nv
     next_label = [0] * nv
@@ -201,11 +209,11 @@ def _enumerate(g, cfg, coloring):
                 next_label[v] = x + step
                 v += 1
                 if v < nv:
-                    head = comp_first[v]
                     if stride[v] == 1:
                         next_label[v] = 0
                     else:
-                        next_label[v] = (labels[head] ^ coloring[v] ^ coloring[head]) & 1
+                        # The head has color 0: its label's parity is color 0's.
+                        next_label[v] = (labels[head[v]] ^ coloring[v]) & 1
                 continue
         # Backtrack one depth: free that vertex's label and its weights.
         v -= 1

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "__version__",
     "build_labeling_document",
     "complement_labeling",
-    "connected_components",
     "emit_dot",
     "emit_edge_list",
     "emit_report",

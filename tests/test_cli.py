@@ -402,6 +402,13 @@ def test_bench_subcommand_is_gone(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_search_no_precheck_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["search", write_graph(tmp_path, make_cycle(4)), "--no-precheck"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --no-precheck" in capsys.readouterr().err
+
+
 def test_table_rejects_dot_format(capsys):
     # table has no --format flag, so argparse rejects it.
     with pytest.raises(SystemExit) as exc_info:

@@ -27,6 +27,25 @@ KNOWN_LABELINGS = {
     (10, 7): (0, 31, 2, 29, 4, 27, 6, 25, 8, 15, 1, 14, 3, 12, 7, 10, 9),
 }
 
+# Odd-graceful labelings of every C_m + P_n with m <= 10 below the minimum path
+# order, where the constructor does not apply. Each is the first hit of
+# search_odd_graceful on make_union(FamilySpec(m, n)); only the verifier checks
+# them here, so no search runs.
+BELOW_MINIMUM_LABELINGS = {
+    (4, 2): (0, 3, 2, 9, 1, 6),
+    (6, 2): (0, 1, 4, 9, 2, 13, 3, 12),
+    (8, 2): (0, 1, 4, 11, 6, 15, 2, 17, 3, 14),
+    (8, 3): (0, 1, 4, 11, 6, 15, 2, 19, 3, 18, 7),
+    (8, 4): (0, 1, 4, 11, 6, 15, 2, 21, 3, 20, 5, 16),
+    (8, 5): (0, 1, 4, 11, 6, 15, 2, 23, 3, 22, 5, 20, 9),
+    (8, 6): (0, 1, 4, 11, 6, 15, 2, 25, 3, 24, 5, 22, 7, 18),
+    (10, 2): (0, 1, 4, 9, 18, 3, 20, 13, 2, 21, 6, 19),
+    (10, 3): (0, 1, 4, 9, 20, 3, 22, 15, 2, 23, 6, 21, 12),
+    (10, 4): (0, 1, 4, 9, 16, 3, 12, 23, 2, 25, 5, 24, 7, 22),
+    (10, 5): (0, 1, 4, 9, 16, 25, 6, 17, 2, 27, 5, 26, 3, 20, 7),
+    (10, 6): (0, 1, 4, 9, 16, 3, 12, 27, 2, 29, 7, 26, 5, 28, 11, 22),
+}
+
 
 def reference_small_cycle_labels(m, n):
     """Hand-derived formulas for the three smallest cycle sizes with a
@@ -109,6 +128,16 @@ def test_force_emits_total_labeling_below_minimum():
     assert len(labeling.labels) == 14
     assert all(0 <= x < 2 * spec.edge_count for x in labeling.labels)
 
+
+def test_below_minimum_unions_have_pinned_labelings():
+    # With the constructed range n >= min_path_order(m), every n >= 2 is
+    # odd graceful for m = 4, 6, 8, 10.
+    assert sorted(BELOW_MINIMUM_LABELINGS) == [
+        (m, n) for m in (4, 6, 8, 10) for n in range(2, min_path_order(m))
+    ]
+    for (m, n), labels in BELOW_MINIMUM_LABELINGS.items():
+        report = verify_odd_graceful(make_union(FamilySpec(m, n)), Labeling(labels))
+        assert report.ok, ((m, n), report.violations)
 
 @pytest.mark.parametrize("m", range(4, 22, 2))
 def test_boundary_is_sharp(m):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,13 +9,13 @@ from oddgraceful import (
     Graph,
     InvalidParameterError,
     ValidationError,
-    connected_components,
     make_cycle,
     make_path,
     make_union,
     min_path_order,
 )
 from oddgraceful.graph import MAX_VERTICES
+from oddgraceful.search import _two_color
 
 
 def test_make_path_single_vertex():
@@ -70,9 +72,10 @@ def test_make_union_layout():
 
 def test_union_components_recover_family():
     g = make_union(FamilySpec(8, 5))
-    comps = connected_components(g)
-    assert [len(c) for c in comps] == [8, 5]
-    cycle, path = comps
+    _, head, _ = _two_color(g)
+    assert Counter(head) == {0: 8, 8: 5}
+    cycle = [v for v in range(g.vertex_count) if head[v] == 0]
+    path = [v for v in range(g.vertex_count) if head[v] == 8]
     cycle_degrees = sorted(len(g.adjacency[v]) for v in cycle)
     path_degrees = sorted(len(g.adjacency[v]) for v in path)
     assert cycle_degrees == [2] * 8

@@ -19,6 +19,7 @@ from oddgraceful import (
     search_odd_graceful,
     verify_odd_graceful,
 )
+from oddgraceful.search import _two_color
 
 from strategies import small_graphs
 
@@ -217,6 +218,44 @@ def test_first_hit_pinned(g, labels, nodes):
     assert out.labeling == Labeling(labels)
     assert out.nodes_explored == nodes
 
+
+# Vertex 4 is not its component's head (2 is) and has no earlier neighbour, so
+# its first candidate parity comes from the head's label alone.
+SPLIT_HEAD_GRAPH = Graph(7, ((0, 3), (3, 5), (1, 2), (4, 6), (2, 6)))
+
+
+def test_split_head_graph_pinned():
+    first = search_odd_graceful(SPLIT_HEAD_GRAPH)
+    assert first.verdict is SearchVerdict.FOUND
+    assert first.labeling == Labeling((0, 1, 4, 9, 8, 2, 3))
+    assert first.nodes_explored == 55
+    pruned = search_odd_graceful(SPLIT_HEAD_GRAPH, SearchConfig(find_all=True))
+    assert (pruned.nodes_explored, pruned.solutions_found) == (10276, 432)
+    full = search_odd_graceful(
+        SPLIT_HEAD_GRAPH, SearchConfig(find_all=True, parity_precheck=False)
+    )
+    assert (full.nodes_explored, full.solutions_found) == (18484, 432)
+    assert set(full.solutions) == set(pruned.solutions)
+
+
+@settings(max_examples=60)
+@given(small_graphs(max_vertices=8))
+def test_two_color_head_is_smallest_vertex_of_component(g):
+    coloring, head, odd_cycle = _two_color(g)
+    assume(odd_cycle is None)
+    root = list(range(g.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in g.edges:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    assert head == [find(v) for v in range(g.vertex_count)]
+    assert all(coloring[h] == 0 for h in head)
+    assert coloring == parity_precheck(g)[0]
 
 def test_deep_path_stops_at_budget():
     out = search_odd_graceful(make_path(1500), SearchConfig(node_budget=5000))
