@@ -12,6 +12,7 @@ benchmark under perfbench/.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -170,20 +171,22 @@ def _cmd_table(args) -> int:
     # The largest row comes last; its spec rejects a sweep past the vertex
     # bound before any row is built.
     FamilySpec(args.m_max, min_path_order(args.m_max) + args.n_extra)
-    lines = ["cycle  path  min-path  result"]
     all_required_pass = True
-    for m in range(4, args.m_max + 1, 2):
-        minimum = min_path_order(m)
-        for n in range(max(2, minimum - 2), minimum + args.n_extra + 1):
-            spec = FamilySpec(m, n)
-            labeling = label_closed_form(spec, BoundPolicy.FORCE)
-            ok = verify_odd_graceful(make_union(spec), labeling).ok
-            if n >= minimum and not ok:
-                all_required_pass = False
-            status = "PASS" if ok else "FAIL"
-            note = "" if n >= minimum else "  (below minimum)"
-            lines.append(f"{m:5d} {n:5d} {minimum:9d}  {status}{note}")
-    _write(args, "\n".join(lines) + "\n")
+    # Each row is written and flushed as soon as it is verified, so a long
+    # sweep shows its progress and holds one row at a time.
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        print("cycle  path  min-path  result", file=out, flush=True)
+        for m in range(4, args.m_max + 1, 2):
+            minimum = min_path_order(m)
+            for n in range(max(2, minimum - 2), minimum + args.n_extra + 1):
+                spec = FamilySpec(m, n)
+                labeling = label_closed_form(spec, BoundPolicy.FORCE)
+                ok = verify_odd_graceful(make_union(spec), labeling).ok
+                if n >= minimum and not ok:
+                    all_required_pass = False
+                status = "PASS" if ok else "FAIL"
+                note = "" if n >= minimum else "  (below minimum)"
+                print(f"{m:5d} {n:5d} {minimum:9d}  {status}{note}", file=out, flush=True)
     return EXIT_OK if all_required_pass else EXIT_INVALID
 
 

@@ -15,9 +15,10 @@ none either, by pigeonhole, and is rejected before anything is allocated.
 The precheck is one breadth-first walk that two-colors each component from
 its smallest vertex, its head. The head keeps both parities available, which
 explores both polarities exactly once each, and every later vertex takes its
-color's parity; solution counts in find_all mode are therefore exact. The
-depth-first walk is one loop over an explicit stack, so no graph size hits
-Python's recursion limit.
+color's parity; solution counts in find_all mode are therefore exact. Only
+the first solution is kept as a labeling and the rest are counted, so the
+memory of find_all does not grow with the count. The depth-first walk is one
+loop over an explicit stack, so no graph size hits Python's recursion limit.
 
 Exhaustion is practical up to roughly 18 edges. Beyond that, set a node
 budget and treat the outcome as inconclusive.
@@ -43,9 +44,9 @@ class SearchVerdict(enum.Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     """node_budget caps backtrack nodes (None = run to exhaustion; a negative
-    budget raises InvalidParameterError); find_all counts and collects every
-    solution instead of stopping at the first; parity_precheck two-colors the
-    graph first and rejects odd cycles. Off, the graph is not walked and every
+    budget raises InvalidParameterError); find_all counts every solution
+    instead of stopping at the first; parity_precheck two-colors the graph
+    first and rejects odd cycles. Off, the graph is not walked and every
     label is tried at every vertex: the tests' unpruned reference."""
 
     node_budget: int | None = None
@@ -65,7 +66,6 @@ class SearchOutcome:
     labeling: Labeling | None
     nodes_explored: int
     solutions_found: int
-    solutions: tuple[Labeling, ...] | None = None
     odd_cycle_witness: tuple[int, ...] | None = None
 
 
@@ -104,39 +104,33 @@ def _two_color(g: Graph):
 def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Decide odd-gracefulness of g by pruned exhaustive search.
 
-    FOUND carries a labeling the verifier accepts (in find_all mode, full
-    enumeration finished and `solutions` holds every labeling in discovery
-    order). EXHAUSTED_NOT_FOUND is returned only after the entire pruned
-    space was covered without a budget cut, and is therefore a proof of
-    nonexistence. BUDGET_EXCEEDED reports the node count at the cut.
+    FOUND carries the first labeling found, which the verifier accepts (in
+    find_all mode, full enumeration finished, `solutions_found` is the exact
+    count and no other labeling is kept). EXHAUSTED_NOT_FOUND is returned only
+    after the entire pruned space was covered without a budget cut, and is
+    therefore a proof of nonexistence. BUDGET_EXCEEDED reports the node count
+    at the cut.
     """
     if g.vertex_count > 2 * g.edge_count:
         # Pigeonhole: the vertices need distinct labels from 0..2q-1.
-        return _none_exists(cfg)
+        return _none_exists()
     coloring = head = None
     if cfg.parity_precheck:
         coloring, head, odd_cycle = _two_color(g)
         if odd_cycle is not None:
-            return _none_exists(cfg, odd_cycle)
+            return _none_exists(odd_cycle)
 
-    first, nodes, sols, cut, collected = _enumerate(g, cfg, coloring, head)
+    first, nodes, sols, cut = _enumerate(g, cfg, coloring, head)
     if cut:
         verdict = SearchVerdict.BUDGET_EXCEEDED
     else:
         verdict = SearchVerdict.FOUND if sols else SearchVerdict.EXHAUSTED_NOT_FOUND
-    return SearchOutcome(
-        verdict,
-        first,
-        nodes,
-        sols,
-        solutions=tuple(collected) if collected is not None else None,
-    )
+    return SearchOutcome(verdict, first, nodes, sols)
 
 
-def _none_exists(cfg: SearchConfig, witness: tuple[int, ...] | None = None) -> SearchOutcome:
+def _none_exists(witness: tuple[int, ...] | None = None) -> SearchOutcome:
     """EXHAUSTED_NOT_FOUND proven before any node is explored."""
-    solutions = () if cfg.find_all else None
-    return SearchOutcome(SearchVerdict.EXHAUSTED_NOT_FOUND, None, 0, 0, solutions, witness)
+    return SearchOutcome(SearchVerdict.EXHAUSTED_NOT_FOUND, None, 0, 0, witness)
 
 
 def _enumerate(g, cfg, coloring, head):
@@ -144,9 +138,10 @@ def _enumerate(g, cfg, coloring, head):
     depth v labels vertex v and next_label[v] is the next candidate there.
     coloring and head come from _two_color, or are None to try every label.
 
-    Returns (first_labeling, nodes, solutions, budget_cut, collected); a node
-    is counted each time a candidate label survives all filters and is
-    committed. Requires vertex_count <= 2 * edge_count.
+    Returns (first_labeling, nodes, solution_count, budget_cut); a node is
+    counted each time a candidate label survives all filters and is committed.
+    Only the first solution becomes a Labeling; the rest are only counted.
+    Requires vertex_count <= 2 * edge_count.
     """
     nv, limit = g.vertex_count, 2 * g.edge_count
     adj = g.adjacency
@@ -164,18 +159,14 @@ def _enumerate(g, cfg, coloring, head):
     nodes = 0
     sols = 0
     first: Labeling | None = None
-    collected: list[Labeling] | None = [] if find_all else None
     cut = False
 
     v = 0
     while v >= 0:
         if v == nv:
             sols += 1
-            found = Labeling(tuple(labels))
             if first is None:
-                first = found
-            if collected is not None:
-                collected.append(found)
+                first = Labeling(tuple(labels))
             if not find_all:
                 break
         else:
@@ -222,7 +213,7 @@ def _enumerate(g, cfg, coloring, head):
             used_label[x] = 0
             for u in earlier[v]:
                 used_weight[abs(x - labels[u])] = 0
-    return first, nodes, sols, cut, collected
+    return first, nodes, sols, cut
 
 
 def _extract_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:

@@ -29,6 +29,8 @@ from oddgraceful import (
 )
 from oddgraceful.construct import BoundPolicy
 
+from reference_search import reference_labelings
+
 SWEEP = [
     (m, n)
     for m in range(4, 42, 2)
@@ -153,7 +155,11 @@ def test_criterion_6_oracle_existence(capsys):
             not_found.append(g)
     everything = search_odd_graceful(union, SearchConfig(find_all=True))
     elapsed = time.perf_counter() - start
-    contains_fixture = Labeling(KNOWN_LABELINGS[(4, 3)]) in everything.solutions
+    reference = reference_labelings(union)
+    contains_fixture = (
+        Labeling(KNOWN_LABELINGS[(4, 3)]) in reference
+        and everything.solutions_found == len(reference)
+    )
     even_count = everything.solutions_found % 2 == 0
     passed = not not_found and contains_fixture and even_count and elapsed < 60.0
     announce(capsys, 6, "oracle existence", passed,

@@ -166,6 +166,18 @@ def test_verify_parse_error_names_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("header", ["graph", "graph 3 4", "graph x"])
+def test_verify_malformed_header_exits_usage(tmp_path, capsys, header):
+    bad = tmp_path / "graph.txt"
+    bad.write_text(f"{header}\n0 1\n")
+    labeling_file = tmp_path / "labeling.json"
+    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(labeling_file))
+    code, out, err = run_cli(capsys, "verify", str(bad), str(labeling_file))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -344,6 +356,14 @@ def test_search_all_reports_even_count(tmp_path, capsys):
     assert count % 2 == 0
 
 
+def test_search_dot_without_labeling_exits_usage(tmp_path, capsys):
+    graph_file = write_graph(tmp_path, make_cycle(9))
+    code, out, err = run_cli(capsys, "search", graph_file, "--format", "dot")
+    assert code == 64
+    assert out == ""
+    assert err == "error: no labeling found, nothing to render as DOT\n"
+
+
 def test_table_boundary_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "--m-max", "10", "--n-extra", "3")
     assert code == 0
@@ -364,6 +384,33 @@ def test_table_minimum_window(capsys):
     lines = out.splitlines()
     assert any(line.startswith("    8     7") and "PASS" in line for line in lines)
     assert any(line.startswith("    8     6") and "FAIL" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--m-max", "5"), "--m-max must be an even integer >= 4, got 5"),
+        (("--m-max", "8", "--n-extra", "-1"), "--n-extra must be non-negative, got -1"),
+    ],
+)
+def test_table_rejects_bad_parameters(capsys, argv, message):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_table_writes_rows_as_they_are_verified(tmp_path):
+    # This sweep passes the vertex-bound check but needs hours; cut after
+    # about 3 s, its file already holds the first rows.
+    with pytest.raises(subprocess.TimeoutExpired):
+        run_module("-m", "oddgraceful", "table", "--m-max", "2097150", "--out", "t.txt",
+                   cwd=tmp_path, timeout=3)
+    lines = (tmp_path / "t.txt").read_text().splitlines()
+    assert lines[:2] == [
+        "cycle  path  min-path  result",
+        "    4     2         3  FAIL  (below minimum)",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -28,9 +28,9 @@ KNOWN_LABELINGS = {
 }
 
 # Odd-graceful labelings of every C_m + P_n with m <= 10 below the minimum path
-# order, where the constructor does not apply. Each is the first hit of
-# search_odd_graceful on make_union(FamilySpec(m, n)); only the verifier checks
-# them here, so no search runs.
+# order, and of C12 + P2..P5, where the constructor does not apply. Each is the
+# first hit of search_odd_graceful on make_union(FamilySpec(m, n)); only the
+# verifier checks them here, so no search runs.
 BELOW_MINIMUM_LABELINGS = {
     (4, 2): (0, 3, 2, 9, 1, 6),
     (6, 2): (0, 1, 4, 9, 2, 13, 3, 12),
@@ -44,6 +44,10 @@ BELOW_MINIMUM_LABELINGS = {
     (10, 4): (0, 1, 4, 9, 16, 3, 12, 23, 2, 25, 5, 24, 7, 22),
     (10, 5): (0, 1, 4, 9, 16, 25, 6, 17, 2, 27, 5, 26, 3, 20, 7),
     (10, 6): (0, 1, 4, 9, 16, 3, 12, 27, 2, 29, 7, 26, 5, 28, 11, 22),
+    (12, 2): (0, 1, 4, 9, 16, 3, 24, 5, 22, 11, 2, 25, 6, 21),
+    (12, 3): (0, 1, 4, 9, 16, 3, 12, 23, 6, 25, 2, 27, 5, 26, 11),
+    (12, 4): (0, 1, 4, 9, 16, 3, 12, 23, 6, 27, 2, 29, 13, 28, 5, 24),
+    (12, 5): (0, 1, 4, 9, 16, 3, 12, 23, 6, 29, 2, 31, 7, 26, 5, 30, 15),
 }
 
 
@@ -131,10 +135,10 @@ def test_force_emits_total_labeling_below_minimum():
 
 def test_below_minimum_unions_have_pinned_labelings():
     # With the constructed range n >= min_path_order(m), every n >= 2 is
-    # odd graceful for m = 4, 6, 8, 10.
+    # odd graceful for m = 4, 6, 8, 10; C12 is settled for n <= 5.
     assert sorted(BELOW_MINIMUM_LABELINGS) == [
         (m, n) for m in (4, 6, 8, 10) for n in range(2, min_path_order(m))
-    ]
+    ] + [(12, n) for n in range(2, 6)]
     for (m, n), labels in BELOW_MINIMUM_LABELINGS.items():
         report = verify_odd_graceful(make_union(FamilySpec(m, n)), Labeling(labels))
         assert report.ok, ((m, n), report.violations)

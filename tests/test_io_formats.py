@@ -100,6 +100,13 @@ def test_parse_rejects_three_endpoints():
         parse_edge_list("0 1 2")
 
 
+@pytest.mark.parametrize("header", ["graph", "graph 3 4", "graph x"])
+def test_parse_rejects_malformed_header(header):
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list(f"{header}\n0 1\n")
+    assert exc_info.value.line == 1
+
+
 @settings(max_examples=80)
 @given(small_graphs())
 def test_edge_list_round_trip(g):

@@ -21,6 +21,7 @@ from oddgraceful import (
 )
 from oddgraceful.search import _two_color
 
+from reference_search import reference_labelings
 from strategies import small_graphs
 
 
@@ -100,8 +101,7 @@ def test_single_vertex_has_no_labels_to_use():
 def test_first_found_is_lexicographically_least():
     g = make_union(FamilySpec(4, 3))
     first = search_odd_graceful(g).labeling
-    everything = search_odd_graceful(g, SearchConfig(find_all=True)).solutions
-    assert first == min(everything, key=lambda lab: lab.labels)
+    assert first == reference_labelings(g)[0]
 
 
 def test_first_found_same_with_and_without_precheck():
@@ -115,17 +115,19 @@ def test_first_found_same_with_and_without_precheck():
 def test_find_all_on_union_contains_constructed_labeling():
     g = make_union(FamilySpec(4, 3))
     out = search_odd_graceful(g, SearchConfig(find_all=True))
+    reference = reference_labelings(g)
     assert out.verdict is SearchVerdict.FOUND
-    assert Labeling((0, 11, 2, 7, 1, 4, 3)) in out.solutions
-    assert out.solutions_found == len(out.solutions)
+    assert Labeling((0, 11, 2, 7, 1, 4, 3)) in reference
+    assert out.solutions_found == len(reference)
     assert out.solutions_found % 2 == 0
 
 
 def test_find_all_solutions_closed_under_complement():
     g = make_union(FamilySpec(4, 3))
-    out = search_odd_graceful(g, SearchConfig(find_all=True))
-    pool = set(out.solutions)
-    for labeling in out.solutions:
+    reference = reference_labelings(g)
+    assert search_odd_graceful(g, SearchConfig(find_all=True)).solutions_found == len(reference)
+    pool = set(reference)
+    for labeling in reference:
         mirrored = complement_labeling(labeling, g.edge_count)
         assert mirrored in pool
         assert mirrored != labeling
@@ -183,10 +185,24 @@ def test_find_all_under_budget_reports_partial_count():
 
 
 def test_union_4_3_find_all_pinned_counts():
-    out = search_odd_graceful(make_union(FamilySpec(4, 3)), SearchConfig(find_all=True))
+    g = make_union(FamilySpec(4, 3))
+    out = search_odd_graceful(g, SearchConfig(find_all=True))
     assert out.verdict is SearchVerdict.FOUND
-    assert out.solutions_found == len(set(out.solutions)) == 960
+    assert out.solutions_found == len(set(reference_labelings(g))) == 960
     assert out.nodes_explored == 10440
+
+
+def test_find_all_memory_does_not_grow_with_solutions():
+    # Only the first of union(4,3)'s 960 solutions is kept as a Labeling.
+    g = make_union(FamilySpec(4, 3))
+    tracemalloc.start()
+    try:
+        out = search_odd_graceful(g, SearchConfig(find_all=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.solutions_found == 960
+    assert peak < 16 * 1024
 
 
 def test_c6_first_hit_pinned():
@@ -235,7 +251,9 @@ def test_split_head_graph_pinned():
         SPLIT_HEAD_GRAPH, SearchConfig(find_all=True, parity_precheck=False)
     )
     assert (full.nodes_explored, full.solutions_found) == (18484, 432)
-    assert set(full.solutions) == set(pruned.solutions)
+    reference = reference_labelings(SPLIT_HEAD_GRAPH)
+    assert len(reference) == 432
+    assert pruned.labeling == full.labeling == reference[0]
 
 
 @settings(max_examples=60)
@@ -272,7 +290,7 @@ def test_more_vertices_than_labels_exhausts_without_allocating():
     finally:
         tracemalloc.stop()
     assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
-    assert (out.nodes_explored, out.solutions_found, out.solutions) == (0, 0, ())
+    assert (out.nodes_explored, out.solutions_found) == (0, 0)
     assert out.odd_cycle_witness is None
     assert peak < 64 * 1024
 
@@ -285,6 +303,24 @@ def test_odd_cycle_graphs_never_have_labelings(g):
     assume(g.edge_count <= 8)
     out = search_odd_graceful(g, SearchConfig(parity_precheck=False))
     assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(max_vertices=6))
+def test_find_all_agrees_with_reference_enumerator(g):
+    assume(g.edge_count <= 8)
+    reference = reference_labelings(g)
+    for parity_precheck in (True, False):
+        out = search_odd_graceful(g, SearchConfig(find_all=True, parity_precheck=parity_precheck))
+        assert out.solutions_found == len(reference)
+        if reference:
+            assert out.verdict is SearchVerdict.FOUND
+            assert out.labeling == reference[0]
+        else:
+            assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
+            assert out.labeling is None
+    for labeling in reference:
+        assert verify_odd_graceful(g, labeling).ok
 
 
 @settings(max_examples=25, deadline=None)
