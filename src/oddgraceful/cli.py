@@ -141,6 +141,8 @@ def _cmd_verify(args) -> int:
     if args.format == "dot":
         _write(args, emit_dot(g, labeling))
     else:
+        # As in label: free the graph and labels before the report is laid out.
+        del g, labeling
         _write(args, emit_report(report, source_text=graph_text + labeling_text))
     return EXIT_OK if report.ok else EXIT_INVALID
 

@@ -11,9 +11,8 @@ the report alone.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Union
 
 from .errors import IncompleteLabelingError
@@ -124,31 +123,37 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
 
 def _verify(g: Graph, labeling: Labeling) -> tuple[VerifyReport, tuple[int, ...]]:
     """verify_odd_graceful plus the induced weights it computed, so a caller
-    that also reports the weights does not compute them again."""
+    that also reports the weights does not compute them again.
+
+    The verdict and the failure detail both come from one _scan of the
+    labels and one of the weights. Distinct labels in [0, 2q-1] bound every
+    weight by 2q-1, and q distinct odd weights in [1, 2q-1] cover the whole
+    odd set, so the verdict needs no set comparison.
+    """
     weights = induced_weights(g, labeling)  # checks that the labeling is total
     labels = labeling.labels
-    if _quick_ok(labels, weights):
+    limit = 2 * len(weights)
+    _, label_repeats, label_outside = _scan(labels, limit)
+    weight_marks, weight_repeats, weight_outside = _scan(weights, limit)
+    even_marks = weight_marks[0::2]
+    if not (label_repeats or label_outside or weight_repeats or weight_outside or 1 in even_marks):
         return VerifyReport(True, ()), weights
 
-    q = len(weights)
-    top = 2 * q - 1
     violations: list[Violation] = []
-    if labels and (min(labels) < 0 or max(labels) > top):
+    if label_outside:
         violations += [VertexLabelOutOfRange(v, x) for v, x in enumerate(labels)
-                       if x < 0 or x > top]
-    violations += _collisions(DuplicateVertexLabel, labels, set(labels), range(len(labels)))
+                       if not 0 <= x < limit]
+    violations += _collisions(DuplicateVertexLabel, labels, label_repeats, range(len(labels)))
 
     violations += [EdgeWeightEven(e, w) for e, w in zip(g.edges, weights) if w % 2 == 0]
-    present = set(weights)
-    violations += _collisions(DuplicateEdgeWeight, weights, present, g.edges)
+    violations += _collisions(DuplicateEdgeWeight, weights, weight_repeats, g.edges)
 
-    required = set(range(1, 2 * q, 2))
-    missing = tuple(sorted(required - present))
-    extra = tuple(sorted(present - required))
+    missing = tuple(filterfalse(weight_marks.__getitem__, range(1, limit, 2)))
+    extra = tuple(compress(range(0, limit, 2), even_marks)) + tuple(sorted(weight_outside))
     if missing or extra:
         violations.append(EdgeWeightSetMismatch(missing, extra))
 
-    # The quick pass already rejected, so something must have been found.
+    # The verdict failed, so something must have been found.
     assert violations
     return VerifyReport(False, tuple(violations)), weights
 
@@ -162,36 +167,31 @@ def _total_labels(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     return labels
 
 
-def _collisions(make, values, distinct: set, items) -> list:
-    """make(value, items at its positions) per value held more than once, by
-    ascending value. `distinct` is set(values); without repeats nothing is built."""
-    if len(distinct) == len(values):
+def _collisions(make, values, repeats: set, items) -> list:
+    """make(value, items at its positions) per value in `repeats`, by
+    ascending value; with no repeats nothing is built."""
+    if not repeats:
         return []
-    groups = {x: [] for x, n in Counter(values).items() if n > 1}
-    for x, item in compress(zip(values, items), map(groups.__contains__, values)):
+    groups = {x: [] for x in sorted(repeats)}
+    for x, item in compress(zip(values, items), map(repeats.__contains__, values)):
         groups[x].append(item)
-    return [make(x, tuple(groups[x])) for x in sorted(groups)]
+    return [make(x, tuple(group)) for x, group in groups.items()]
 
 
-def _quick_ok(labels: tuple[int, ...], weights: tuple[int, ...]) -> bool:
-    """Flat-array validity check, linear in q; avoids building violation
-    details on the hot path (large constructions are verified through here).
-
-    Labels in [0, 2q-1] bound every weight by 2q-1, and q distinct odd
-    weights within [1, 2q-1] necessarily cover the whole odd set, so no
-    explicit set comparison is needed.
-    """
-    limit = 2 * len(weights)
-    if limit == 0:
-        return not labels
-    seen_label = bytearray(limit)
-    for x in labels:
-        if x < 0 or x >= limit or seen_label[x]:
-            return False
-        seen_label[x] = 1
-    seen_weight = bytearray(limit)
-    for w in weights:
-        if not (w & 1) or seen_weight[w]:
-            return False
-        seen_weight[w] = 1
-    return True
+def _scan(values, limit: int) -> tuple[bytearray, set, set]:
+    """One pass over values: marks[x] is 1 for each x in [0, limit) that
+    occurs; repeats holds each value seen more than once and outside each
+    value not in [0, limit). Both sets stay empty for a valid labeling."""
+    marks = bytearray(limit)
+    repeats = set()
+    outside = set()
+    for x in values:
+        if x < 0 or x >= limit:
+            if x in outside:
+                repeats.add(x)
+            outside.add(x)
+        elif marks[x]:
+            repeats.add(x)
+        else:
+            marks[x] = 1
+    return marks, repeats, outside

@@ -91,6 +91,37 @@ def test_label_peak_memory(tmp_path):
     assert peak < 5 * 2**20
 
 
+def test_verify_failing_peak_memory(tmp_path):
+    # A failing file costs no more than a passing one: the failure detail is
+    # built from the verifier's byte marks, and the graph and labels are freed
+    # before the report is laid out. Set passes over the labels and weights
+    # with the graph alive through the emit peaked at 1.55 times the passing
+    # file here.
+    spec = FamilySpec(40, 19_961)
+    graph = write_graph(tmp_path, make_union(spec))
+    assert main(["label", "--cycle", "40", "--path", "19961", "--out", str(tmp_path / "l.json")]) == 0
+    doc = json.loads((tmp_path / "l.json").read_text())
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    labels = doc["labels"]
+    a = 40 + 5_000
+    b = next(v for v in range(40 + 12_000, len(labels) - 1) if (labels[v] - labels[a]) % 2)
+    labels[a], labels[b] = labels[b], labels[a]
+    bad.write_text(json.dumps(doc))
+    peaks = {}
+    for labeling, expected in ((good, 0), (bad, 1)):
+        tracemalloc.start()
+        try:
+            code = main(["verify", graph, str(labeling), "--out", str(tmp_path / "r.json")])
+            peaks[expected] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == expected
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["ok"] is False
+    assert peaks[1] <= peaks[0]
+
+
 def test_label_below_minimum_requires_force(capsys):
     code, _, err = run_cli(capsys, "label", "--cycle", "10", "--path", "6")
     assert code == 64

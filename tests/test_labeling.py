@@ -194,6 +194,11 @@ def labeled_graphs(draw):
 @example((Graph(3), Labeling((0, 0, 5))))
 @example((make_union(FamilySpec(4, 3)), C4_P3_LABELS))
 @example((make_path(5), Labeling((0, 0, 9, 6, 9))))
+@example((make_path(3), Labeling((-1, 2, -1))))
+@example((make_path(3), Labeling((5, 0, 5))))
+@example((make_path(5), Labeling((0, 2, 11, 1, 9))))
+@example((Graph(1), Labeling((-1,))))
+@example((make_union(FamilySpec(4, 3)), Labeling((3,) * 7)))
 def test_verifier_matches_reference(case):
     # The reference is the 0.3.0 verifier; equality covers violation order.
     g, labeling = case
@@ -220,3 +225,27 @@ def test_failing_verify_peak_memory():
     assert not report.ok
     assert report == reference_verify_odd_graceful(g, labeling)
     assert peak < 8 * 2**20
+
+
+def test_failing_verify_costs_what_passing_does():
+    # The verdict and the failure detail come from the same byte marks, so a
+    # failing labeling with a few bad edges allocates about what a valid one
+    # does. Sets of every label and weight and a Counter of the weights
+    # peaked at 6.3 times the passing peak here.
+    spec = FamilySpec(40, 19_961)
+    g = make_union(spec)
+    good = label_closed_form(spec)
+    labels = list(good.labels)
+    a = 40 + 5_000
+    b = next(v for v in range(40 + 12_000, len(labels) - 1) if (labels[v] - labels[a]) % 2)
+    labels[a], labels[b] = labels[b], labels[a]
+    peaks = []
+    for labeling in (good, Labeling(tuple(labels))):
+        tracemalloc.start()
+        try:
+            report = verify_odd_graceful(g, labeling)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.ok == (labeling is good)
+    assert peaks[1] <= 1.1 * peaks[0]
