@@ -8,6 +8,7 @@ from .construct import (
     BoundPolicy,
     label_algorithmic,
     label_closed_form,
+    label_short_path,
     min_path_order,
 )
 from .errors import (
@@ -84,6 +85,7 @@ __all__ = [
     "induced_weights",
     "label_algorithmic",
     "label_closed_form",
+    "label_short_path",
     "make_cycle",
     "make_path",
     "make_union",

@@ -1,26 +1,25 @@
 """Command-line front end.
 
 Subcommands: label (construct a family labeling), verify (check a labeling
-file against a graph file), search (exhaustive oracle), table (feasibility
-sweep), dot (render a graph file). Exit codes are part of the contract:
-label and verify exit 0 exactly when the labeling is odd graceful, search
-exits 0/2/3 for found / exhausted / budget-exceeded, and any input or
-parameter problem exits 64. Timing lives outside the package, in the
-benchmark under perfbench/.
+file against a graph file), search (exhaustive oracle), dot (render a graph
+file). Exit codes are part of the contract: label and verify exit 0 exactly
+when the labeling is odd graceful, search exits 0/2/3 for found / exhausted /
+budget-exceeded, and any input or parameter problem exits 64. Below
+min_path_order, label takes label_short_path whatever --method says. Timing
+lives outside the package, in the benchmark under perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
 from ._version import __version__
 from .construct import (
-    BoundPolicy,
     label_algorithmic,
     label_closed_form,
+    label_short_path,
     min_path_order,
 )
 from .errors import InvalidParameterError, OddGracefulError, ValidationError
@@ -68,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, required=True, help="cycle order (even, >= 4)")
     p.add_argument("--path", type=int, required=True, help="path order (>= 2)")
     p.add_argument("--method", choices=["closed", "algo"], default="closed")
-    p.add_argument("--force", action="store_true", help="construct below the minimum path order")
     _common_flags(p)
     p.set_defaults(handler=_cmd_label)
 
@@ -84,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="count every solution")
     _common_flags(p)
     p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser("table", help="feasibility sweep around the minimum path order")
-    p.add_argument("--m-max", type=int, required=True, help="largest cycle order (even, >= 4)")
-    p.add_argument("--n-extra", type=int, default=0, help="rows past the minimum path order")
-    _common_flags(p, formats=False)
-    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("dot", help="render a graph file (optionally labeled) as DOT")
     p.add_argument("graph_file")
@@ -115,9 +107,10 @@ def _write(args, text: str) -> None:
 
 def _cmd_label(args) -> int:
     spec = FamilySpec(args.cycle, args.path)
-    policy = BoundPolicy.FORCE if args.force else BoundPolicy.ENFORCE
     construct = label_closed_form if args.method == "closed" else label_algorithmic
-    labeling = construct(spec, policy)
+    if args.path < min_path_order(args.cycle):
+        construct = label_short_path
+    labeling = construct(spec)
     g = make_union(spec)
     report, weights = _verify(g, labeling)
     if args.format == "dot":
@@ -163,33 +156,6 @@ def _cmd_search(args) -> int:
         SearchVerdict.EXHAUSTED_NOT_FOUND: EXIT_NOT_FOUND,
         SearchVerdict.BUDGET_EXCEEDED: EXIT_BUDGET,
     }[outcome.verdict]
-
-
-def _cmd_table(args) -> int:
-    if args.m_max < 4 or args.m_max % 2:
-        raise InvalidParameterError(f"--m-max must be an even integer >= 4, got {args.m_max}")
-    if args.n_extra < 0:
-        raise InvalidParameterError(f"--n-extra must be non-negative, got {args.n_extra}")
-    # The largest row comes last; its spec rejects a sweep past the vertex
-    # bound before any row is built.
-    FamilySpec(args.m_max, min_path_order(args.m_max) + args.n_extra)
-    all_required_pass = True
-    # Each row is written and flushed as soon as it is verified, so a long
-    # sweep shows its progress and holds one row at a time.
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        print("cycle  path  min-path  result", file=out, flush=True)
-        for m in range(4, args.m_max + 1, 2):
-            minimum = min_path_order(m)
-            for n in range(max(2, minimum - 2), minimum + args.n_extra + 1):
-                spec = FamilySpec(m, n)
-                labeling = label_closed_form(spec, BoundPolicy.FORCE)
-                ok = verify_odd_graceful(make_union(spec), labeling).ok
-                if n >= minimum and not ok:
-                    all_required_pass = False
-                status = "PASS" if ok else "FAIL"
-                note = "" if n >= minimum else "  (below minimum)"
-                print(f"{m:5d} {n:5d} {minimum:9d}  {status}{note}", file=out, flush=True)
-    return EXIT_OK if all_required_pass else EXIT_INVALID
 
 
 def _cmd_dot(args) -> int:

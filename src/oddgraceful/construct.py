@@ -1,11 +1,11 @@
 """Constructive odd-graceful labelers for the cycle-plus-path family.
 
-Two interchangeable constructions are provided and must agree vertex for
-vertex. The closed form assigns every label directly: around the cycle, odd
-positions take the ascending even numbers 0, 2, 4, ... while even positions
-take the descending odd numbers 2q-1, 2q-3, ..., except the closing vertex,
-which drops to 2q-(2m-3) so the two cycle edges at the seam consume the
-weights 2q-3m+5 and 2q-2m+3. Along the path, odd positions take small odd
+The paper's construction comes in two interchangeable forms that must agree
+vertex for vertex. The closed form assigns every label directly: around the
+cycle, odd positions take the ascending even numbers 0, 2, 4, ... while even
+positions take the descending odd numbers 2q-1, 2q-3, ..., except the closing
+vertex, which drops to 2q-(2m-3) so the two cycle edges at the seam consume
+the weights 2q-3m+5 and 2q-2m+3. Along the path, odd positions take small odd
 numbers and even positions take a descending run of even numbers; the exact
 formulas branch on the parity of half the cycle order.
 
@@ -17,9 +17,9 @@ weight when the sequence meets it. Vertex labels alternate adding and
 subtracting the carried weight. Each vertex and edge is touched a constant
 number of times, so construction is linear in the edge count.
 
-Constructions below the family's minimum path order exist only to
-demonstrate how the labeling degenerates there; they are emitted in full and
-left to the verifier to reject.
+Both need the path order to reach min_path_order(m); one below it the
+labeling collides. The short-path form covers 2 <= n <= m instead, so
+together the two forms label every C_m + P_n with even m >= 4.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class BoundPolicy(enum.Enum):
 
 
 def min_path_order(cycle_order: int) -> int:
-    """Smallest path order for which the construction is valid.
+    """Smallest path order for which the paper's construction is valid.
 
     cycle_order - 1 when the cycle order is divisible by four, cycle_order - 3
     otherwise. One below either bound the construction provably collides (see
-    the boundary tests).
+    the boundary tests), so shorter paths take label_short_path.
     """
     if cycle_order < 4 or cycle_order % 2:
         raise InvalidParameterError(
@@ -101,13 +101,43 @@ def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     return Labeling(tuple(labels))
 
 
+def label_short_path(spec: FamilySpec) -> Labeling:
+    """Labeling for 2 <= n <= m: a zigzag path beside a shifted C_m labeling.
+
+    With q = m + n - 1, path vertex j = 0..n-1 takes j (j even) or 2q - j
+    (j odd), so edge j-1, j weighs 2q - 2j + 1: the path uses 2m+1, ..., 2q-1.
+    With k = m/2, cycle vertex i = 1..m takes i (i odd), plus 2 when k is odd
+    and i > k; or 2m + 2 - i (i even), less 2 when i > k (k even) or i = m
+    (k odd). Edge i, i+1 weighs 2m + 1 - 2i for i <= k and 2m - 1 - 2i for
+    k < i < m, and edge m, 1 weighs m - 1: the cycle uses 1, 3, ..., 2m-1.
+    Its odd labels are distinct and at most m + 1, its even ones distinct and
+    at least m. The path's even labels are at most n - 1 < m and its odd ones
+    at least 2m + n - 1 > 2m, so no label repeats and all lie in 0..2q-1.
+    At n = m + 1 the path's label m meets the cycle's, so n > m is refused.
+    """
+    m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
+    if n > m:
+        raise InvalidParameterError(f"path order {n} exceeds cycle order {m}")
+    k = m // 2
+    labels = [0] * (m + n)
+    for i in range(1, m + 1):
+        if i % 2:
+            labels[i - 1] = i + 2 if k % 2 and i > k else i
+        elif (i == m) if k % 2 else (i > k):
+            labels[i - 1] = 2 * m - i
+        else:
+            labels[i - 1] = 2 * m + 2 - i
+    for j in range(n):
+        labels[m + j] = 2 * q - j if j % 2 else j
+    return Labeling(tuple(labels))
+
+
 def _check_bound(spec: FamilySpec, policy: BoundPolicy) -> None:
     minimum = min_path_order(spec.cycle_order)
     if policy is BoundPolicy.ENFORCE and spec.path_order < minimum:
         raise BoundViolationError(
             f"path order {spec.path_order} is below the minimum {minimum} "
-            f"for cycle order {spec.cycle_order}; construct with FORCE to "
-            f"demonstrate the failure",
+            f"for cycle order {spec.cycle_order}; label_short_path covers it",
             required_min=minimum,
         )
 

@@ -34,6 +34,7 @@ PUBLIC_NAMES = [
     "induced_weights",
     "label_algorithmic",
     "label_closed_form",
+    "label_short_path",
     "make_cycle",
     "make_path",
     "make_union",

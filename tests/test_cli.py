@@ -122,17 +122,29 @@ def test_verify_failing_peak_memory(tmp_path):
     assert peaks[1] <= peaks[0]
 
 
-def test_label_below_minimum_requires_force(capsys):
-    code, _, err = run_cli(capsys, "label", "--cycle", "10", "--path", "6")
-    assert code == 64
-    assert "7" in err  # the minimum is named
+@pytest.mark.parametrize("method", ["closed", "algo"])
+def test_label_below_minimum_verifies(tmp_path, capsys, method):
+    # Below the paper's minimum path order, label takes the short-path form
+    # for either method, and its report passes verify.
+    labeling_file = tmp_path / "l.json"
+    code, _, _ = run_cli(capsys, "label", "--cycle", "10", "--path", "6", "--method", method,
+                         "--out", str(labeling_file))
+    assert code == 0
+    assert json.loads(labeling_file.read_text())["ok"] is True
+    graph_file = write_graph(tmp_path, make_union(FamilySpec(10, 6)))
+    code, out, _ = run_cli(capsys, "verify", graph_file, str(labeling_file))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
-def test_label_forced_boundary_failure(capsys):
-    code, out, _ = run_cli(capsys, "label", "--cycle", "10", "--path", "6", "--force")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["ok"] is False
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2, 60), st.integers(-1, 80))
+def test_label_exit_code_covers_every_family_member(m, n):
+    # Every C_m + P_n with even m >= 4 and n >= 2 is labeled and verified;
+    # every other order is a bad parameter.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["label", "--cycle", str(m), "--path", str(n)])
+    assert code == (0 if m >= 4 and m % 2 == 0 and n >= 2 else 64)
 
 
 def test_label_rejects_odd_cycle(capsys):
@@ -395,68 +407,6 @@ def test_search_dot_without_labeling_exits_usage(tmp_path, capsys):
     assert err == "error: no labeling found, nothing to render as DOT\n"
 
 
-def test_table_boundary_rows(capsys):
-    code, out, _ = run_cli(capsys, "table", "--m-max", "10", "--n-extra", "3")
-    assert code == 0
-    rows = {}
-    for line in out.splitlines()[1:]:
-        parts = line.split()
-        rows[(int(parts[0]), int(parts[1]))] = parts[3]
-    assert rows[(10, 6)] == "FAIL"
-    for n in (7, 8, 9, 10):
-        assert rows[(10, n)] == "PASS"
-    assert rows[(4, 2)] == "FAIL"
-    assert rows[(4, 3)] == "PASS"
-
-
-def test_table_minimum_window(capsys):
-    code, out, _ = run_cli(capsys, "table", "--m-max", "8", "--n-extra", "0")
-    assert code == 0
-    lines = out.splitlines()
-    assert any(line.startswith("    8     7") and "PASS" in line for line in lines)
-    assert any(line.startswith("    8     6") and "FAIL" in line for line in lines)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("--m-max", "5"), "--m-max must be an even integer >= 4, got 5"),
-        (("--m-max", "8", "--n-extra", "-1"), "--n-extra must be non-negative, got -1"),
-    ],
-)
-def test_table_rejects_bad_parameters(capsys, argv, message):
-    code, out, err = run_cli(capsys, "table", *argv)
-    assert code == 64
-    assert out == ""
-    assert err == f"error: {message}\n"
-
-
-def test_table_writes_rows_as_they_are_verified(tmp_path):
-    # This sweep passes the vertex-bound check but needs hours; cut after
-    # about 3 s, its file already holds the first rows.
-    with pytest.raises(subprocess.TimeoutExpired):
-        run_module("-m", "oddgraceful", "table", "--m-max", "2097150", "--out", "t.txt",
-                   cwd=tmp_path, timeout=3)
-    lines = (tmp_path / "t.txt").read_text().splitlines()
-    assert lines[:2] == [
-        "cycle  path  min-path  result",
-        "    4     2         3  FAIL  (below minimum)",
-    ]
-
-
-@pytest.mark.parametrize(
-    "argv, total",
-    [(("--m-max", "4194304"), 8388607), (("--m-max", "4", "--n-extra", "4194304"), 4194311)],
-)
-def test_table_rejects_sweep_past_vertex_bound(tmp_path, argv, total):
-    # The largest row is checked before any row is built; without that check
-    # these sweeps run for hours before they reach it.
-    proc = run_module("-m", "oddgraceful", "table", *argv, cwd=tmp_path, timeout=10)
-    assert proc.returncode == 64
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: cycle + path order must be <= {MAX_VERTICES}, got {total}\n"
-
-
 def test_dot_subcommand(tmp_path, capsys):
     graph_file = write_graph(tmp_path, make_cycle(4))
     code, out, _ = run_cli(capsys, "dot", graph_file)
@@ -487,12 +437,19 @@ def test_search_no_precheck_flag_is_gone(tmp_path, capsys):
     assert "unrecognized arguments: --no-precheck" in capsys.readouterr().err
 
 
-def test_table_rejects_dot_format(capsys):
-    # table has no --format flag, so argparse rejects it.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--m-max", "4"], "invalid choice: 'table'"),
+        (["label", "--cycle", "10", "--path", "6", "--force"], "unrecognized arguments: --force"),
+    ],
+    ids=["table", "label-force"],
+)
+def test_table_and_label_force_are_gone(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
-        main(["table", "--m-max", "4", "--format", "dot"])
+        main(argv)
     assert exc_info.value.code == 2
-    assert "unrecognized arguments: --format dot" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_dot_rejects_format(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from oddgraceful import (
     BoundViolationError,
@@ -10,6 +11,7 @@ from oddgraceful import (
     induced_weights,
     label_algorithmic,
     label_closed_form,
+    label_short_path,
     make_union,
     min_path_order,
     verify_odd_graceful,
@@ -124,6 +126,7 @@ def test_enforce_rejects_below_minimum_and_names_it():
         label_closed_form(FamilySpec(8, 6))
     assert exc_info.value.required_min == 7
     assert "7" in str(exc_info.value)
+    assert "label_short_path" in str(exc_info.value)
 
 
 def test_force_emits_total_labeling_below_minimum():
@@ -142,6 +145,33 @@ def test_below_minimum_unions_have_pinned_labelings():
     for (m, n), labels in BELOW_MINIMUM_LABELINGS.items():
         report = verify_odd_graceful(make_union(FamilySpec(m, n)), Labeling(labels))
         assert report.ok, ((m, n), report.violations)
+
+def test_short_path_covers_every_path_up_to_the_cycle_order():
+    for m in range(4, 121, 2):
+        for n in range(2, m + 1):
+            spec = FamilySpec(m, n)
+            report = verify_odd_graceful(make_union(spec), label_short_path(spec))
+            assert report.ok, ((m, n), report.violations)
+        # One past the cycle order the path's label m meets the cycle's.
+        with pytest.raises(InvalidParameterError):
+            label_short_path(FamilySpec(m, m + 1))
+
+
+@st.composite
+def short_path_specs(draw):
+    """Even cycles past the sweep's sizes with a path no longer than the
+    cycle; m + n stays within MAX_VERTICES because m <= 2^21."""
+    m = 2 * draw(st.integers(2**14, 2**20))
+    return FamilySpec(m, draw(st.integers(2, m)))
+
+
+# Each example builds a graph of up to 4M vertices, so a failure is reported
+# unshrunk; the sweep above finds the small ones.
+@settings(max_examples=4, deadline=None, phases=[Phase.generate])
+@given(short_path_specs())
+def test_short_path_verifies_at_scale(spec):
+    assert verify_odd_graceful(make_union(spec), label_short_path(spec)).ok
+
 
 @pytest.mark.parametrize("m", range(4, 22, 2))
 def test_boundary_is_sharp(m):
