@@ -4,13 +4,13 @@ The search assigns labels to vertices in increasing id order, trying
 candidate labels in ascending numeric order, so the first labeling found is
 the lexicographically least solution read in vertex-id order and the whole
 run is deterministic. Pruning: a candidate is rejected if its label is taken,
-if its parity disagrees with the two-coloring of its component (only when the
-parity precheck is on), or if any edge to an already-labeled neighbour would
-induce an even or already-used weight. Odd weights force opposite label
-parity across every edge, so a graph containing an odd cycle has no labeling
-at all; with the precheck enabled such graphs are rejected immediately with a
-witness cycle. A graph with more vertices than the 2q labels 0..2q-1 has
-none either, by pigeonhole, and is rejected before anything is allocated.
+if its parity disagrees with the two-coloring of its component, or if any
+edge to an already-labeled neighbour would induce an already-used weight;
+the coloring makes every weight odd. Odd weights force opposite label
+parity across every edge, so a graph containing an odd cycle has no
+labeling at all; such graphs are rejected immediately with a witness cycle.
+A graph with more vertices than the 2q labels 0..2q-1 has none either, by
+pigeonhole, and is rejected before anything is allocated.
 
 The precheck is one breadth-first walk that two-colors each component from
 its smallest vertex, its head. The head keeps both parities available, which
@@ -45,13 +45,10 @@ class SearchVerdict(enum.Enum):
 class SearchConfig:
     """node_budget caps backtrack nodes (None = run to exhaustion; a negative
     budget raises InvalidParameterError); find_all counts every solution
-    instead of stopping at the first; parity_precheck two-colors the graph
-    first and rejects odd cycles. Off, the graph is not walked and every
-    label is tried at every vertex: the tests' unpruned reference."""
+    instead of stopping at the first."""
 
     node_budget: int | None = None
     find_all: bool = False
-    parity_precheck: bool = True
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 0:
@@ -114,11 +111,9 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     if g.vertex_count > 2 * g.edge_count:
         # Pigeonhole: the vertices need distinct labels from 0..2q-1.
         return _none_exists()
-    coloring = head = None
-    if cfg.parity_precheck:
-        coloring, head, odd_cycle = _two_color(g)
-        if odd_cycle is not None:
-            return _none_exists(odd_cycle)
+    coloring, head, odd_cycle = _two_color(g)
+    if odd_cycle is not None:
+        return _none_exists(odd_cycle)
 
     first, nodes, sols, cut = _enumerate(g, cfg, coloring, head)
     if cut:
@@ -136,7 +131,7 @@ def _none_exists(witness: tuple[int, ...] | None = None) -> SearchOutcome:
 def _enumerate(g, cfg, coloring, head):
     """Depth-first enumeration core: one loop over an explicit stack, where
     depth v labels vertex v and next_label[v] is the next candidate there.
-    coloring and head come from _two_color, or are None to try every label.
+    coloring and head come from _two_color.
 
     Returns (first_labeling, nodes, solution_count, budget_cut); a node is
     counted each time a candidate label survives all filters and is committed.
@@ -147,7 +142,7 @@ def _enumerate(g, cfg, coloring, head):
     adj = g.adjacency
     earlier = [tuple(u for u in adj[v] if u < v) for v in range(nv)]
     # Within a component, labels after the head's follow its two-coloring.
-    stride = [1 if coloring is None or head[v] == v else 2 for v in range(nv)]
+    stride = [1 if head[v] == v else 2 for v in range(nv)]
 
     labels = [-1] * nv
     next_label = [0] * nv
@@ -179,7 +174,10 @@ def _enumerate(g, cfg, coloring, head):
                         w = x - labels[u]
                         if w < 0:
                             w = -w
-                        if not (w & 1) or used_weight[w]:
+                        # w is odd: u < v, so v is not its component's head,
+                        # and x and labels[u] have the head label's parity
+                        # flipped by their colors, which differ across an edge.
+                        if used_weight[w]:
                             # Release the weights marked before neighbour u.
                             for t in ev:
                                 if t == u:

@@ -1,6 +1,9 @@
 """The public surface, pinned: removing or adding a name must be deliberate."""
 
+import dataclasses
 import importlib
+
+import pytest
 
 import oddgraceful
 
@@ -83,3 +86,13 @@ def test_benchmark_imports_exist():
     assert label_closed_form.__name__ == "label_closed_form"
     assert label_algorithmic.__name__ == "label_algorithmic"
     parity_precheck(oddgraceful.make_path(2))
+
+
+def test_search_config_fields_are_the_ones_the_benchmark_sets():
+    fields = [f.name for f in dataclasses.fields(oddgraceful.SearchConfig)]
+    assert fields == ["node_budget", "find_all"]
+
+
+def test_search_config_parity_precheck_is_gone():
+    with pytest.raises(TypeError, match="parity_precheck"):
+        oddgraceful.SearchConfig(**{"parity_precheck": False})

@@ -62,10 +62,7 @@ def test_triangle_has_no_labeling():
 
 
 def test_triangle_full_search_agrees_with_precheck():
-    out = search_odd_graceful(make_cycle(3), SearchConfig(parity_precheck=False))
-    assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
-    assert out.odd_cycle_witness is None
-    assert out.nodes_explored > 0
+    assert reference_labelings(make_cycle(3)) == []
 
 
 def test_square_is_found_with_full_weight_set():
@@ -105,11 +102,11 @@ def test_first_found_is_lexicographically_least():
 
 
 def test_first_found_same_with_and_without_precheck():
-    # The parity filter only prunes; it must not change the feasible set.
-    g = make_union(FamilySpec(6, 3))
-    with_precheck = search_odd_graceful(g)
-    without = search_odd_graceful(g, SearchConfig(parity_precheck=False))
-    assert with_precheck.labeling == without.labeling
+    # The parity filter only prunes; it must not change the feasible set. The
+    # unpruned search of version 0.7.0 found this same first hit.
+    out = search_odd_graceful(make_union(FamilySpec(6, 3)))
+    assert out.labeling == Labeling((0, 1, 4, 9, 2, 15, 3, 14, 5))
+    assert out.nodes_explored == 38
 
 
 def test_find_all_on_union_contains_constructed_labeling():
@@ -247,13 +244,9 @@ def test_split_head_graph_pinned():
     assert first.nodes_explored == 55
     pruned = search_odd_graceful(SPLIT_HEAD_GRAPH, SearchConfig(find_all=True))
     assert (pruned.nodes_explored, pruned.solutions_found) == (10276, 432)
-    full = search_odd_graceful(
-        SPLIT_HEAD_GRAPH, SearchConfig(find_all=True, parity_precheck=False)
-    )
-    assert (full.nodes_explored, full.solutions_found) == (18484, 432)
     reference = reference_labelings(SPLIT_HEAD_GRAPH)
     assert len(reference) == 432
-    assert pruned.labeling == full.labeling == reference[0]
+    assert pruned.labeling == reference[0]
 
 
 @settings(max_examples=60)
@@ -273,6 +266,8 @@ def test_two_color_head_is_smallest_vertex_of_component(g):
         root[max(ra, rb)] = min(ra, rb)
     assert head == [find(v) for v in range(g.vertex_count)]
     assert all(coloring[h] == 0 for h in head)
+    # The search's inner loop relies on this to skip the even-weight test.
+    assert all(coloring[a] != coloring[b] for a, b in g.edges)
     assert coloring == parity_precheck(g)[0]
 
 def test_deep_path_stops_at_budget():
@@ -301,8 +296,7 @@ def test_odd_cycle_graphs_never_have_labelings(g):
     _, odd_cycle = parity_precheck(g)
     assume(odd_cycle is not None)
     assume(g.edge_count <= 8)
-    out = search_odd_graceful(g, SearchConfig(parity_precheck=False))
-    assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
+    assert reference_labelings(g) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,15 +304,14 @@ def test_odd_cycle_graphs_never_have_labelings(g):
 def test_find_all_agrees_with_reference_enumerator(g):
     assume(g.edge_count <= 8)
     reference = reference_labelings(g)
-    for parity_precheck in (True, False):
-        out = search_odd_graceful(g, SearchConfig(find_all=True, parity_precheck=parity_precheck))
-        assert out.solutions_found == len(reference)
-        if reference:
-            assert out.verdict is SearchVerdict.FOUND
-            assert out.labeling == reference[0]
-        else:
-            assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
-            assert out.labeling is None
+    out = search_odd_graceful(g, SearchConfig(find_all=True))
+    assert out.solutions_found == len(reference)
+    if reference:
+        assert out.verdict is SearchVerdict.FOUND
+        assert out.labeling == reference[0]
+    else:
+        assert out.verdict is SearchVerdict.EXHAUSTED_NOT_FOUND
+        assert out.labeling is None
     for labeling in reference:
         assert verify_odd_graceful(g, labeling).ok
 
