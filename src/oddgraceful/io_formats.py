@@ -21,8 +21,9 @@ Report format (write, parse for labeling documents)
         the tags from labeling.VIOLATION_KINDS).
     kind "search-outcome": verdict, nodes_explored, solutions_found, labels
         (null unless a labeling was found), odd_cycle_witness.
-    Keys are sorted and the encoder is deterministic, so equal inputs give
-    byte-identical reports.
+    The text is json.dumps(report, indent=2, sort_keys=True) plus a newline,
+    so equal inputs give byte-identical reports; int arrays get those same
+    bytes from one C-encoder call each (see _indented).
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
 is supplied (bare ids otherwise) and edge text is the induced weight.
@@ -153,56 +154,43 @@ def emit_report(
 
     Without source_text, input_digest is the SHA-256 of the compact text
     json.dumps(body, sort_keys=True, separators=(",", ":")). That text is
-    hashed value by value, never held whole.
+    hashed one top-level value at a time, never held whole.
     """
     body = _payload_body(payload)
     digest = hashlib.sha256()
     if source_text is not None:
         digest.update(source_text.encode())
-    texts = {}
-    separator = "{"
-    for key in sorted(body):
-        texts[key], compact = _layouts(body[key], compact=source_text is None)
-        if compact is not None:
+    else:
+        separator = "{"
+        for key in sorted(body):
             digest.update(f"{separator}{json.dumps(key)}:".encode())
-            digest.update(compact.encode())
+            digest.update(json.dumps(body[key], sort_keys=True, separators=(",", ":")).encode())
             separator = ","
-    if source_text is None:
         digest.update(b"}")
-    texts["report_version"] = json.dumps(REPORT_VERSION)
-    texts["tool_version"] = json.dumps(__version__)
-    texts["input_digest"] = json.dumps(f"sha256:{digest.hexdigest()}")
-    return _join_indented(texts)
-
-
-def _layouts(value, compact: bool) -> tuple[str, str | None]:
-    """The indent=2 text of a value one level inside an object and, when
-    asked for, its compact text.
-
-    The indenting encoder runs in pure Python, so a non-empty int array is
-    laid out by join instead, from digits made once for both texts.
-    Re-indenting encoder output by replacing newlines is exact because the
-    encoder escapes every newline inside a string.
-    """
-    # type() rather than isinstance(): bool is a subclass of int.
-    if type(value) in (list, tuple) and value and set(map(type, value)) <= {int}:
-        pieces = list(map(str, value))
-        indented = "[\n    " + ",\n    ".join(pieces) + "\n  ]"
-        return indented, "[" + ",".join(pieces) + "]" if compact else None
-    indented = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-    return indented, json.dumps(value, sort_keys=True, separators=(",", ":")) if compact else None
-
-
-def _join_indented(texts: dict[str, str]) -> str:
-    """Lay out an object from the indented text of each value, in key order,
-    without copying the value texts into intermediate strings."""
+    body["report_version"] = REPORT_VERSION
+    body["tool_version"] = __version__
+    body["input_digest"] = f"sha256:{digest.hexdigest()}"
     parts = []
     separator = "{\n  "
-    for key in sorted(texts):
-        parts += (separator, json.dumps(key), ": ", texts[key])
+    for key in sorted(body):
+        parts += (separator, json.dumps(key), ": ", _indented(body[key]))
         separator = ",\n  "
     parts.append("\n}\n")
     return "".join(parts)
+
+
+def _indented(value) -> str:
+    """The indent=2 text of a value one level inside an object.
+
+    The indenting encoder runs in pure Python, so a non-empty int array is
+    laid out by the C encoder instead, with the line break in its item
+    separator. Re-indenting encoder output by replacing newlines is exact
+    because the encoder escapes every newline inside a string.
+    """
+    # type() rather than isinstance(): bool is a subclass of int.
+    if type(value) in (list, tuple) and value and set(map(type, value)) <= {int}:
+        return "[\n    " + json.dumps(value, separators=(",\n    ", ":"))[1:-1] + "\n  ]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
@@ -247,10 +235,8 @@ def _payload_body(payload) -> dict:
             "verdict": payload.verdict.value,
             "nodes_explored": payload.nodes_explored,
             "solutions_found": payload.solutions_found,
-            "labels": list(payload.labeling.labels) if payload.labeling else None,
-            "odd_cycle_witness": list(payload.odd_cycle_witness)
-            if payload.odd_cycle_witness
-            else None,
+            "labels": payload.labeling.labels if payload.labeling else None,
+            "odd_cycle_witness": payload.odd_cycle_witness or None,
         }
     raise TypeError(f"cannot serialize {type(payload).__name__} as a report")
 

@@ -76,10 +76,11 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
 
 
 def test_label_peak_memory(tmp_path):
-    # The graph is freed before the report is laid out, and each int array is
-    # turned into digits once. Validating the graph and converting the digits
-    # twice peaked at 7.4 MiB here; keeping the graph alive through the emit
-    # reads 5.3 MiB.
+    # The graph is freed before the report is laid out, and the writer lays
+    # out each int array with one C-encoder call and hashes the compact text
+    # one top-level value at a time. This reads 3.7 MiB here; with the earlier
+    # writer, keeping the graph alive through the emit read 5.3 MiB, and
+    # validating the graph with the digits made twice read 7.4.
     out = str(tmp_path / "l.json")
     tracemalloc.start()
     try:
