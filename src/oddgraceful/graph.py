@@ -43,17 +43,17 @@ class Graph:
             raise ValidationError("vertex count must be non-negative")
         if n > MAX_VERTICES:
             raise ValidationError(f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
-        seen: set[int] = set()
-        for a, b in edges:
+        seen: set[tuple[int, int]] = set()  # the graph's own edge tuples, no new keys
+        for edge in edges:
+            a, b = edge
             if not (0 <= a < n and 0 <= b < n):
                 raise ValidationError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
             if a == b:
                 raise ValidationError(f"self-loop at vertex {a}")
-            # Unique per unordered pair only once both endpoints are in range.
-            key = a * n + b if a < b else b * n + a
-            if key in seen:
+            # The reversed probe is a temporary, freed at once.
+            if edge in seen or (b, a) in seen:
                 raise ValidationError(f"duplicate edge ({a}, {b})")
-            seen.add(key)
+            seen.add(edge)
 
     @classmethod
     def _trusted(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:

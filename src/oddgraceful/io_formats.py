@@ -74,13 +74,13 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected two endpoints, got {line!r}", line_no)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"endpoints must be integers, got {line!r}", line_no) from None
-        edges.append((a, b))
     if vertex_count is None:
-        vertex_count = 1 + max((max(a, b) for a, b in edges), default=-1)
-    return Graph(vertex_count, tuple(edges))
+        vertex_count = 1 + max(chain.from_iterable(edges), default=-1)
+    edges = tuple(edges)  # the list is freed before Graph validates the tuple
+    return Graph(vertex_count, edges)
 
 
 def emit_edge_list(g: Graph) -> str:

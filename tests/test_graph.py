@@ -17,6 +17,8 @@ from oddgraceful import (
 from oddgraceful.graph import MAX_VERTICES
 from oddgraceful.search import _two_color
 
+from reference_graph import reference_validate
+
 
 def test_make_path_single_vertex():
     g = make_path(1)
@@ -155,8 +157,9 @@ def test_adjacency():
 
 
 def test_graph_range_check_precedes_duplicate_keys():
-    # Keys a*n+b collide here (1*3+2 == 0*3+5); the out-of-range edge must be
-    # reported as such, never as a duplicate.
+    # (0, 5) is out of range for 3 vertices and must be reported as such, never
+    # as a duplicate of (1, 2): an int pair key a*n+b, as tests/reference_graph.py
+    # keeps, would collide here (1*3+2 == 0*3+5).
     with pytest.raises(ValidationError, match=r"^edge \(0, 5\) has an endpoint outside 0\.\.2$"):
         Graph(3, ((1, 2), (0, 5)))
 
@@ -176,6 +179,46 @@ def test_graph_first_fault_in_edge_order_wins(vertex_count, edges, message):
     with pytest.raises(ValidationError) as exc_info:
         Graph(vertex_count, edges)
     assert str(exc_info.value) == message
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """A vertex count 0..6 and an edge list of in-range non-loop edges, with
+    up to three faults put in at random places: a repeat of an edge in either
+    orientation, a self-loop, or an edge with ids anywhere in -2..n+2."""
+    n = draw(st.integers(0, 6))
+    ids = st.integers(-2, n + 2)
+    edges = []
+    if n > 1:
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(edge, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(("repeat", "self-loop", "any")))
+        if fault == "repeat" and edges:
+            a, b = draw(st.sampled_from(edges))
+            extra = (b, a) if draw(st.booleans()) else (a, b)
+        elif fault == "self-loop":
+            v = draw(ids)
+            extra = (v, v)
+        else:
+            extra = (draw(ids), draw(ids))
+        edges.insert(draw(st.integers(0, len(edges))), extra)
+    return n, tuple(edges)
+
+
+@given(raw_edge_lists())
+def test_graph_validation_matches_int_key_reference(case):
+    # Graph must accept exactly what the int-key loop accepted, and otherwise
+    # fail on the same first fault with the same message.
+    n, edges = case
+    try:
+        reference_validate(n, edges)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as exc_info:
+            Graph(n, edges)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert Graph(n, edges).edges == edges
 
 
 def test_graph_coerces_other_edge_forms():
