@@ -31,7 +31,7 @@ from .io_formats import (
     parse_edge_list,
     parse_labeling_document,
 )
-from .labeling import Labeling, _verify, verify_odd_graceful
+from .labeling import Labeling, _family_weights, _verdict, verify_odd_graceful
 from .search import SearchConfig, SearchVerdict, search_odd_graceful
 
 EXIT_OK = 0
@@ -111,18 +111,16 @@ def _cmd_label(args) -> int:
     if args.path < min_path_order(args.cycle):
         construct = label_short_path
     labeling = construct(spec)
-    g = make_union(spec)
-    report, weights = _verify(g, labeling)
+    # The weights and the verdict come from the labels alone; only DOT, which
+    # draws the edges, builds the graph.
+    weights = _family_weights(spec, labeling)
+    ok = _verdict(labeling.labels, weights)[0]
     if args.format == "dot":
-        _write(args, emit_dot(g, labeling))
+        _write(args, emit_dot(make_union(spec), labeling))
     else:
-        family = (args.cycle, args.path)
-        doc = LabelingDocument(family, g.edge_count, labeling.labels, weights, report.ok)
-        # The edge tuples are the largest object here; free them before the
-        # report text is laid out.
-        del g
+        doc = LabelingDocument((args.cycle, args.path), spec.edge_count, labeling.labels, weights, ok)
         _write(args, emit_report(doc))
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 def _cmd_verify(args) -> int:
@@ -134,7 +132,7 @@ def _cmd_verify(args) -> int:
     if args.format == "dot":
         _write(args, emit_dot(g, labeling))
     else:
-        # As in label: free the graph and labels before the report is laid out.
+        # Free the graph and labels before the report is laid out.
         del g, labeling
         _write(args, emit_report(report, source_text=graph_text + labeling_text))
     return EXIT_OK if report.ok else EXIT_INVALID

@@ -123,8 +123,11 @@ def make_union(spec: FamilySpec) -> Graph:
     path vertices follow as ids cycle_order..cycle_order+path_order-1.
 
     Cycle edges come first in the edge list, then path edges, so edge-indexed
-    reports line up with the construction order. FamilySpec has already
-    bounded the vertex count, so the graph is built without validation.
+    reports line up with the construction order. labeling._family_weights
+    mirrors this edge order from the labels alone, and
+    test_family_weights_match_the_graph checks that the two agree. FamilySpec
+    has already bounded the vertex count, so the graph is built without
+    validation.
     """
     m, n = spec.cycle_order, spec.path_order
     edges = [(i, (i + 1) % m) for i in range(m)]

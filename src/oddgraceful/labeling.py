@@ -12,11 +12,12 @@ the report alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse
+from itertools import chain, compress, filterfalse, islice
+from operator import sub
 from typing import Union
 
 from .errors import IncompleteLabelingError
-from .graph import Graph
+from .graph import FamilySpec, Graph
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class VerifyReport:
 
 def induced_weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     """Induced weight |f(a) - f(b)| per edge, in the graph's edge order."""
-    labels = _total_labels(g, labeling)
+    labels = _total_labels(g.vertex_count, labeling)
     return tuple([abs(labels[a] - labels[b]) for a, b in g.edges])
 
 
@@ -116,29 +117,18 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     {1, 3, ..., 2q-1} exactly. On failure all violations are enumerated in a
     deterministic order: out-of-range labels in vertex order, duplicated
     labels by ascending label, even weights in edge order, duplicated weights
-    by ascending weight, and finally the weight-set difference if any.
-    """
-    return _verify(g, labeling)[0]
-
-
-def _verify(g: Graph, labeling: Labeling) -> tuple[VerifyReport, tuple[int, ...]]:
-    """verify_odd_graceful plus the induced weights it computed, so a caller
-    that also reports the weights does not compute them again.
-
-    The verdict and the failure detail both come from one _scan of the
-    labels and one of the weights. Distinct labels in [0, 2q-1] bound every
-    weight by 2q-1, and q distinct odd weights in [1, 2q-1] cover the whole
-    odd set, so the verdict needs no set comparison.
+    by ascending weight, and finally the weight-set difference if any. The
+    detail is built from the two scans that _verdict read the verdict from.
     """
     weights = induced_weights(g, labeling)  # checks that the labeling is total
     labels = labeling.labels
-    limit = 2 * len(weights)
-    _, label_repeats, label_outside = _scan(labels, limit)
-    weight_marks, weight_repeats, weight_outside = _scan(weights, limit)
-    even_marks = weight_marks[0::2]
-    if not (label_repeats or label_outside or weight_repeats or weight_outside or 1 in even_marks):
-        return VerifyReport(True, ()), weights
+    ok, label_scan, weight_scan = _verdict(labels, weights)
+    if ok:
+        return VerifyReport(True, ())
 
+    _, label_repeats, label_outside = label_scan
+    weight_marks, weight_repeats, weight_outside = weight_scan
+    limit = len(weight_marks)
     violations: list[Violation] = []
     if label_outside:
         violations += [VertexLabelOutOfRange(v, x) for v, x in enumerate(labels)
@@ -149,20 +139,46 @@ def _verify(g: Graph, labeling: Labeling) -> tuple[VerifyReport, tuple[int, ...]
     violations += _collisions(DuplicateEdgeWeight, weights, weight_repeats, g.edges)
 
     missing = tuple(filterfalse(weight_marks.__getitem__, range(1, limit, 2)))
-    extra = tuple(compress(range(0, limit, 2), even_marks)) + tuple(sorted(weight_outside))
+    extra = tuple(compress(range(0, limit, 2), weight_marks[0::2])) + tuple(sorted(weight_outside))
     if missing or extra:
         violations.append(EdgeWeightSetMismatch(missing, extra))
 
     # The verdict failed, so something must have been found.
     assert violations
-    return VerifyReport(False, tuple(violations)), weights
+    return VerifyReport(False, tuple(violations))
 
 
-def _total_labels(g: Graph, labeling: Labeling) -> tuple[int, ...]:
+def _verdict(labels, weights) -> tuple[bool, tuple, tuple]:
+    """Whether labels and their induced weights are odd graceful, with the
+    _scan of the labels and the _scan of the weights it was read from.
+
+    Distinct labels in [0, 2q-1] bound every weight by 2q-1, and q distinct
+    odd weights in [1, 2q-1] cover the whole odd set, so the verdict needs
+    no set comparison: no value repeats or falls outside, and no weight is even.
+    """
+    limit = 2 * len(weights)
+    label_scan, weight_scan = _scan(labels, limit), _scan(weights, limit)
+    ok = not (any(label_scan[1:]) or any(weight_scan[1:]) or 1 in weight_scan[0][0::2])
+    return ok, label_scan, weight_scan
+
+
+def _family_weights(spec: FamilySpec, labeling: Labeling) -> tuple[int, ...]:
+    """induced_weights(make_union(spec), labeling) from the labels alone:
+    the m cycle weights |l[i] - l[(i+1) mod m]|, then the path weights
+    |l[j] - l[j+1]| for m <= j < m+n-1. Left ends are the first m+n-1 labels
+    in order, right ends the same shifted by one, the cycle closing on l[0].
+    """
+    m = spec.cycle_order
+    labels = _total_labels(m + spec.path_order, labeling)
+    rights = chain(islice(labels, 1, m), labels[:1], islice(labels, m + 1, None))
+    return tuple(map(abs, map(sub, islice(labels, len(labels) - 1), rights)))
+
+
+def _total_labels(vertex_count: int, labeling: Labeling) -> tuple[int, ...]:
     labels = labeling.labels
-    if len(labels) != g.vertex_count:
+    if len(labels) != vertex_count:
         raise IncompleteLabelingError(
-            f"labeling covers {len(labels)} vertices, graph has {g.vertex_count}"
+            f"labeling covers {len(labels)} vertices, graph has {vertex_count}"
         )
     return labels
 

@@ -22,7 +22,7 @@ from oddgraceful.labeling import (
 
 
 def reference_verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
-    labels = _total_labels(g, labeling)
+    labels = _total_labels(g.vertex_count, labeling)
     q = g.edge_count
     top = 2 * q - 1
     violations: list[Violation] = []

@@ -13,7 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oddgraceful
-from oddgraceful import FamilySpec, emit_edge_list, make_cycle, make_path, make_union
+from oddgraceful import (
+    FamilySpec,
+    Labeling,
+    emit_edge_list,
+    induced_weights,
+    label_closed_form,
+    make_cycle,
+    make_path,
+    make_union,
+)
 from oddgraceful.cli import main
 from oddgraceful.graph import MAX_VERTICES
 
@@ -76,11 +85,12 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
 
 
 def test_label_peak_memory(tmp_path):
-    # The graph is freed before the report is laid out, and the writer lays
-    # out each int array with one C-encoder call and hashes the compact text
-    # one top-level value at a time. This reads 3.7 MiB here; with the earlier
-    # writer, keeping the graph alive through the emit read 5.3 MiB, and
-    # validating the graph with the digits made twice read 7.4.
+    # label builds no graph: the weights come from the labels alone. The
+    # writer lays out each int array with one C-encoder call and hashes the
+    # compact text one top-level value at a time. This reads 3.5 MiB here,
+    # and 3.7 MiB when the graph was built and freed before the emit; with
+    # the earlier writer, keeping the graph alive through the emit read
+    # 5.3 MiB, and validating the graph with the digits made twice read 7.4.
     out = str(tmp_path / "l.json")
     tracemalloc.start()
     try:
@@ -90,6 +100,59 @@ def test_label_peak_memory(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 5 * 2**20
+
+
+def test_label_200k_peak_memory(tmp_path):
+    # At the label-200k benchmark size. Building make_union's 200 000 edge
+    # tuples for the verifier read about 35 MiB here; taking the weights
+    # from the labels alone reads about 24 MiB.
+    out = str(tmp_path / "l.json")
+    tracemalloc.start()
+    try:
+        code = main(["label", "--cycle", "40", "--path", "199961", "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 30 * 2**20
+
+
+def test_label_builds_no_graph(capsys, monkeypatch):
+    # A label report needs the labels and their weights only, so label never
+    # reaches make_union, below the minimum path order either, and the
+    # pinned reports keep their bytes.
+    def no_graph(spec):
+        raise AssertionError(f"label built the graph of {spec}")
+
+    monkeypatch.setattr("oddgraceful.cli.make_union", no_graph)
+    assert run_cli(capsys, "label", "--cycle", "12", "--path", "6")[0] == 0
+    for argv, sha256 in [
+        (("--cycle", "8", "--path", "7"),
+         "95c3c23f3bd49869c6389a279d6a8db66c42dd18a99b3b760b35c8f1ece37f84"),
+        (("--cycle", "42", "--path", "1000", "--method", "algo"),
+         "b4729a548ce02565ea49bbe585e44aff819c59b613091639c51b621ef96d5a22"),
+    ]:
+        test_label_report_bytes_pinned(capsys, argv, sha256)
+
+
+def test_label_exits_one_on_a_failing_construction(capsys, monkeypatch):
+    # Labels 2 (cycle) and 1 (path) swapped turn three edge weights even. The
+    # report and the DOT output both exit 1; the report says ok false and
+    # lists the weights the graph would induce.
+    spec = FamilySpec(8, 7)
+    labels = list(label_closed_form(spec).labels)
+    labels[2], labels[8] = labels[8], labels[2]
+    bad = Labeling(tuple(labels))
+    monkeypatch.setattr("oddgraceful.cli.label_closed_form", lambda spec: bad)
+    code, out, _ = run_cli(capsys, "label", "--cycle", "8", "--path", "7")
+    assert code == 1
+    assert '\n  "ok": false,\n' in out
+    doc = json.loads(out)
+    assert doc["labels"] == labels
+    assert doc["weights"] == list(induced_weights(make_union(spec), bad))
+    code, out, _ = run_cli(capsys, "label", "--cycle", "8", "--path", "7", "--format", "dot")
+    assert code == 1
+    assert out.startswith("graph G {")
 
 
 def test_verify_failing_peak_memory(tmp_path):

@@ -16,12 +16,15 @@ from oddgraceful import (
     VertexLabelOutOfRange,
     complement_labeling,
     induced_weights,
+    label_algorithmic,
     label_closed_form,
+    label_short_path,
     make_path,
     make_union,
     verify_odd_graceful,
 )
 from oddgraceful.construct import BoundPolicy
+from oddgraceful.labeling import _family_weights
 
 from reference_verifier import reference_verify_odd_graceful
 from strategies import family_specs, small_graphs
@@ -58,6 +61,39 @@ def test_edge_weights_requires_total_labeling():
         induced_weights(make_path(3), Labeling((0, 1)))
     with pytest.raises(IncompleteLabelingError):
         verify_odd_graceful(make_path(3), Labeling((0, 1)))
+
+
+@st.composite
+def family_labelings(draw):
+    """A union with even cycle order 4..12, so both residues mod 4, and path
+    order 2..20, with free labels drawn from [-2, 2q+1]."""
+    spec = FamilySpec(draw(st.sampled_from(range(4, 13, 2))), draw(st.integers(2, 20)))
+    n = spec.cycle_order + spec.path_order
+    labels = draw(st.lists(st.integers(-2, 2 * spec.edge_count + 1), min_size=n, max_size=n))
+    return spec, Labeling(tuple(labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_labelings())
+@example((FamilySpec(4, 2), Labeling((0, 0, 5, 7, -2, 9))))
+@example((FamilySpec(4, 2), label_short_path(FamilySpec(4, 2))))
+@example((FamilySpec(6, 3), label_closed_form(FamilySpec(6, 3))))
+@example((FamilySpec(8, 7), label_closed_form(FamilySpec(8, 7))))
+@example((FamilySpec(10, 7), label_algorithmic(FamilySpec(10, 7))))
+@example((FamilySpec(12, 6), label_short_path(FamilySpec(12, 6))))
+def test_family_weights_match_the_graph(case):
+    # The family weights are read from the labels alone; they must be the
+    # weights of make_union's edges in its edge order, and a labeling of the
+    # wrong length must fail with the graph's message.
+    spec, labeling = case
+    g = make_union(spec)
+    assert _family_weights(spec, labeling) == induced_weights(g, labeling)
+    for wrong in (Labeling(labeling.labels[:-1]), Labeling(labeling.labels + (0,))):
+        with pytest.raises(IncompleteLabelingError) as expected:
+            induced_weights(g, wrong)
+        with pytest.raises(IncompleteLabelingError) as got:
+            _family_weights(spec, wrong)
+        assert str(got.value) == str(expected.value)
 
 
 def test_verify_accepts_family_fixture():
