@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, pairwise
+from operator import index
 
 from .errors import InvalidParameterError, ValidationError
 
@@ -28,15 +29,18 @@ class Graph:
     def __post_init__(self):
         edges = self.edges
         # A tuple of int 2-tuples is kept as given; anything else (lists, bools,
-        # other int-like values) is rebuilt. type() rather than isinstance():
-        # bool is a subclass of int.
+        # other __index__ ints) is rebuilt. type() rather than isinstance():
+        # bool is a subclass of int. index() refuses floats and strings.
         if not (
             type(edges) is tuple
             and set(map(type, edges)) <= {tuple}
             and set(map(len, edges)) <= {2}
             and set(map(type, chain.from_iterable(edges))) <= {int}
         ):
-            edges = tuple((int(a), int(b)) for a, b in edges)
+            try:
+                edges = tuple((index(a), index(b)) for a, b in edges)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
             object.__setattr__(self, "edges", edges)
         n = self.vertex_count
         if n < 0:
@@ -54,16 +58,6 @@ class Graph:
             if edge in seen or (b, a) in seen:
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(edge)
-
-    @classmethod
-    def _trusted(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-        """A Graph from a builder whose edges are valid by construction: a
-        tuple of int 2-tuples, in range, without self-loops or duplicates.
-        Skips __post_init__, whose checks cost more than the build itself."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "edges", edges)
-        return g
 
     @property
     def edge_count(self) -> int:
@@ -108,7 +102,7 @@ def make_path(length: int) -> Graph:
     """Path on `length` vertices: edges (0,1), (1,2), ..., (length-2, length-1)."""
     if length < 1:
         raise InvalidParameterError(f"path needs at least one vertex, got {length}")
-    return Graph(length, tuple((i, i + 1) for i in range(length - 1)))
+    return Graph(length, tuple(pairwise(range(length))))
 
 
 def make_cycle(length: int) -> Graph:
@@ -125,13 +119,9 @@ def make_union(spec: FamilySpec) -> Graph:
     Cycle edges come first in the edge list, then path edges, so edge-indexed
     reports line up with the construction order. labeling._family_weights
     mirrors this edge order from the labels alone, and
-    test_family_weights_match_the_graph checks that the two agree. FamilySpec
-    has already bounded the vertex count, so the graph is built without
-    validation.
+    test_family_weights_match_the_graph checks that the two agree. The graph
+    is validated like any other.
     """
     m, n = spec.cycle_order, spec.path_order
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    # One int object per path vertex, shared by the two edges that meet there.
-    path = list(range(m, m + n))
-    edges.extend(zip(path, islice(path, 1, None)))
-    return Graph._trusted(m + n, tuple(edges))
+    cycle = ((i, (i + 1) % m) for i in range(m))
+    return Graph(m + n, tuple(chain(cycle, pairwise(range(m, m + n)))))

@@ -86,7 +86,9 @@ def parse_edge_list(text: str) -> Graph:
 def emit_edge_list(g: Graph) -> str:
     lines = [f"graph {g.vertex_count}"]
     lines.extend(f"{a} {b}" for a, b in g.edges)
-    return "\n".join(lines) + "\n"
+    # The final newline goes on the last line, not on a copy of the joined text.
+    lines[-1] += "\n"
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,8 @@ def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
         weights = induced_weights(g, labeling)
         lines.extend(f'  {v} [label="{x}"];' for v, x in enumerate(labeling.labels))
         lines.extend(f'  {a} -- {b} [label="{w}"];' for (a, b), w in zip(g.edges, weights))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _payload_body(payload) -> dict:

@@ -231,6 +231,22 @@ def test_label_dot_format(capsys):
     assert '[label="11"]' in out
 
 
+@pytest.mark.parametrize(
+    "cycle, path, method",
+    [("8", "7", "closed"), ("42", "1000", "algo"), ("12", "6", "closed")],  # last: short path
+)
+def test_label_dot_equals_dot_of_its_report(tmp_path, capsys, cycle, path, method):
+    # label's own DOT output and its report's labels drawn on the parsed edge
+    # list by dot must agree byte for byte.
+    labeling_file = str(tmp_path / "l.json")
+    argv = ["label", "--cycle", cycle, "--path", path, "--method", method]
+    assert run_cli(capsys, *argv, "--out", labeling_file)[0] == 0
+    code, label_dot, _ = run_cli(capsys, *argv, "--format", "dot")
+    assert code == 0
+    graph_file = write_graph(tmp_path, make_union(FamilySpec(int(cycle), int(path))))
+    assert run_cli(capsys, "dot", graph_file, "--labeling", labeling_file) == (0, label_dot, "")
+
+
 def test_label_out_writes_file(tmp_path, capsys):
     target = tmp_path / "labeling.json"
     code, out, _ = run_cli(
