@@ -4,7 +4,8 @@ Subcommands: label (construct a family labeling), verify (check a labeling
 file against a graph file), search (exhaustive oracle), dot (render a graph
 file). Exit codes are part of the contract: label and verify exit 0 exactly
 when the labeling is odd graceful, search exits 0/2/3 for found / exhausted /
-budget-exceeded, and any input or parameter problem exits 64. Below
+budget-exceeded, and any input or parameter problem exits 64. --format, on
+label and search only, picks the output text and never the exit code. Below
 min_path_order, label takes label_short_path whatever --method says. Timing
 lives outside the package, in the benchmark under perfbench/.
 """
@@ -22,7 +23,7 @@ from .construct import (
     label_short_path,
     min_path_order,
 )
-from .errors import InvalidParameterError, OddGracefulError, ValidationError
+from .errors import OddGracefulError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
     LabelingDocument,
@@ -67,39 +68,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, required=True, help="cycle order (even, >= 4)")
     p.add_argument("--path", type=int, required=True, help="path order (>= 2)")
     p.add_argument("--method", choices=["closed", "algo"], default="closed")
-    _common_flags(p)
+    p.add_argument("--format", choices=["report", "dot"], default=None)
     p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("verify", help="verify a labeling file against a graph file")
     p.add_argument("graph_file")
     p.add_argument("labeling_file")
-    _common_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive search for an odd-graceful labeling")
     p.add_argument("graph_file")
     p.add_argument("--budget", type=int, default=None, help="backtrack-node cap")
     p.add_argument("--all", action="store_true", help="count every solution")
-    _common_flags(p)
+    p.add_argument("--format", choices=["report", "dot"], default=None)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("dot", help="render a graph file (optionally labeled) as DOT")
     p.add_argument("graph_file")
     p.add_argument("--labeling", default=None, help="labeling file to draw on the graph")
-    _common_flags(p, formats=False)
     p.set_defaults(handler=_cmd_dot)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser, formats: bool = True) -> None:
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    if formats:
-        p.add_argument("--format", choices=["report", "dot"], default=None)
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
 
 
 def _write(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -124,28 +126,25 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph_text = Path(args.graph_file).read_text()
-    labeling_text = Path(args.labeling_file).read_text()
+    graph_text = _read(args.graph_file)
+    labeling_text = _read(args.labeling_file)
     g = parse_edge_list(graph_text)
     labeling = _labeling_for(g, labeling_text)
     report = verify_odd_graceful(g, labeling)
-    if args.format == "dot":
-        _write(args, emit_dot(g, labeling))
-    else:
-        # Free the graph and labels before the report is laid out.
-        del g, labeling
-        _write(args, emit_report(report, source_text=graph_text + labeling_text))
+    # Free the graph and labels before the report is laid out.
+    del g, labeling
+    _write(args, emit_report(report, source_text=graph_text + labeling_text))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _cmd_search(args) -> int:
-    graph_text = Path(args.graph_file).read_text()
+    graph_text = _read(args.graph_file)
     g = parse_edge_list(graph_text)
     cfg = SearchConfig(node_budget=args.budget, find_all=args.all)
     outcome = search_odd_graceful(g, cfg)
     if args.format == "dot":
-        if outcome.labeling is None:
-            raise InvalidParameterError("no labeling found, nothing to render as DOT")
+        # With no labeling found this draws the bare graph; the exit code
+        # stays the verdict.
         _write(args, emit_dot(g, outcome.labeling))
     else:
         _write(args, emit_report(outcome, source_text=graph_text))
@@ -157,10 +156,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    g = parse_edge_list(Path(args.graph_file).read_text())
-    labeling = None
-    if args.labeling:
-        labeling = _labeling_for(g, Path(args.labeling).read_text())
+    g = parse_edge_list(_read(args.graph_file))
+    labeling = None if args.labeling is None else _labeling_for(g, _read(args.labeling))
     _write(args, emit_dot(g, labeling))
     return EXIT_OK
 

@@ -479,12 +479,18 @@ def test_search_all_reports_even_count(tmp_path, capsys):
     assert count % 2 == 0
 
 
-def test_search_dot_without_labeling_exits_usage(tmp_path, capsys):
-    graph_file = write_graph(tmp_path, make_cycle(9))
-    code, out, err = run_cli(capsys, "search", graph_file, "--format", "dot")
-    assert code == 64
-    assert out == ""
-    assert err == "error: no labeling found, nothing to render as DOT\n"
+def test_search_dot_without_labeling_keeps_verdict(tmp_path, capsys):
+    # With nothing found, --format dot draws the bare graph and the exit code
+    # stays the search verdict: 2 for exhausted, 3 for the budget cut.
+    for name, g, budget, verdict in [
+        ("c9.txt", make_cycle(9), [], 2),
+        ("u43.txt", make_union(FamilySpec(4, 3)), ["--budget", "0"], 3),
+    ]:
+        graph_file = write_graph(tmp_path, g, name)
+        _, bare, _ = run_cli(capsys, "dot", graph_file)
+        assert run_cli(capsys, "search", graph_file, *budget, "--format", "dot") == (
+            verdict, bare, ""
+        )
 
 
 def test_dot_subcommand(tmp_path, capsys):
@@ -522,8 +528,9 @@ def test_search_no_precheck_flag_is_gone(tmp_path, capsys):
     [
         (["table", "--m-max", "4"], "invalid choice: 'table'"),
         (["label", "--cycle", "10", "--path", "6", "--force"], "unrecognized arguments: --force"),
+        (["verify", "g.txt", "l.json", "--format", "dot"], "unrecognized arguments: --format dot"),
     ],
-    ids=["table", "label-force"],
+    ids=["table", "label-force", "verify-format"],
 )
 def test_table_and_label_force_are_gone(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
@@ -542,15 +549,11 @@ def test_dot_rejects_format(tmp_path, capsys):
     assert "unrecognized arguments: --format report" in captured.err
 
 
-@pytest.mark.parametrize("command", ["label", "verify", "search"])
+@pytest.mark.parametrize("command", ["label", "search"])
 def test_format_flag_of_label_verify_search(tmp_path, capsys, command):
-    labeling_file = tmp_path / "labeling.json"
-    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(labeling_file))
-    graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
     argv = {
         "label": ["label", "--cycle", "4", "--path", "3"],
-        "verify": ["verify", graph_file, str(labeling_file)],
-        "search": ["search", graph_file],
+        "search": ["search", write_graph(tmp_path, make_union(FamilySpec(4, 3)))],
     }[command]
     code, default, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -558,6 +561,53 @@ def test_format_flag_of_label_verify_search(tmp_path, capsys, command):
     code, dot, _ = run_cli(capsys, *argv, "--format", "dot")
     assert code == 0
     assert dot.startswith("graph G {")
+
+
+def write_u43_files(tmp_path, capsys):
+    """union(4, 3)'s edge list and label's document for it, by file kind."""
+    files = {"graph": tmp_path / "graph.txt", "labeling": tmp_path / "labeling.json"}
+    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(files["labeling"]))
+    files["graph"].write_text(emit_edge_list(make_union(FamilySpec(4, 3))))
+    return files
+
+
+@pytest.mark.parametrize(
+    "bad, command",
+    [
+        ("graph", ["verify", "{graph}", "{labeling}"]),
+        ("labeling", ["verify", "{graph}", "{labeling}"]),
+        ("graph", ["search", "{graph}"]),
+        ("graph", ["dot", "{graph}"]),
+        ("labeling", ["dot", "{graph}", "--labeling", "{labeling}"]),
+    ],
+    ids=["verify-graph", "verify-labeling", "search", "dot", "dot-labeling"],
+)
+def test_non_utf8_input_exits_usage(tmp_path, capsys, bad, command):
+    files = write_u43_files(tmp_path, capsys)
+    files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
+    code, out, err = run_cli(capsys, *[arg.format(**files) for arg in command])
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {files[bad]} is not UTF-8 text: invalid start byte at offset 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["label", "--cycle", "4", "--path", "3", "--out", ""],
+        ["verify", "{graph}", "{labeling}", "--out", ""],
+        ["dot", "{graph}", "--labeling", ""],
+    ],
+    ids=["label-out", "verify-out", "dot-labeling"],
+)
+def test_empty_path_exits_usage(tmp_path, capsys, argv):
+    # An empty path names no file; it must not fall back to stdout or to no
+    # labeling.
+    files = write_u43_files(tmp_path, capsys)
+    code, out, err = run_cli(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_label_past_vertex_bound_exits_usage(tmp_path):
@@ -584,8 +634,9 @@ README_EXIT_CODES = {"verify": {0, 1, 64}, "dot": {0, 64}, "search": {0, 2, 3, 6
 
 @st.composite
 def cli_inputs(draw):
-    """A graph text and a labeling text: a small graph with a labeling
-    document of about its size, or fuzzed text for either file."""
+    """The bytes of a graph file and a labeling file: a small graph with a
+    labeling document of about its size, or fuzzed text for either file,
+    sometimes with a 0xff byte, which is never UTF-8, spliced in."""
     g = draw(small_graphs())
     n, q = g.vertex_count, g.edge_count
     label = st.integers(-2, 2 * q + 1)
@@ -597,7 +648,13 @@ def cli_inputs(draw):
         graph_text = draw(st.lists(EDGE_LIST_LINES, max_size=8).map("\n".join))
     if draw(st.booleans()):
         labeling_text = draw(st.one_of(labeling_texts(), st.text(max_size=30)))
-    return graph_text, labeling_text
+    files = []
+    for data in (graph_text.encode(), labeling_text.encode()):
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        files.append(data)
+    return tuple(files)
 
 
 @settings(
@@ -606,8 +663,8 @@ def cli_inputs(draw):
 @given(cli_inputs(), st.sampled_from(sorted(README_EXIT_CODES)))
 def test_cli_exit_codes_follow_readme_table(tmp_path, inputs, command):
     graph_file, labeling_file = tmp_path / "graph.txt", tmp_path / "labeling.json"
-    graph_file.write_text(inputs[0])
-    labeling_file.write_text(inputs[1])
+    graph_file.write_bytes(inputs[0])
+    labeling_file.write_bytes(inputs[1])
     argv = {
         "verify": ["verify", str(graph_file), str(labeling_file)],
         "dot": ["dot", str(graph_file), "--labeling", str(labeling_file)],
