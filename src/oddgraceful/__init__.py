@@ -12,7 +12,6 @@ from .construct import (
     min_path_order,
 )
 from .errors import (
-    BoundViolationError,
     IncompleteLabelingError,
     InvalidParameterError,
     OddGracefulError,
@@ -58,7 +57,6 @@ from .search import (
 __all__ = [
     "__version__",
     "BoundPolicy",
-    "BoundViolationError",
     "DuplicateEdgeWeight",
     "DuplicateVertexLabel",
     "EdgeWeightEven",

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import enum
 
-from .errors import BoundViolationError, InvalidParameterError
-from .graph import FamilySpec
+from .errors import InvalidParameterError
+from .graph import FamilySpec, _integer
 from .labeling import Labeling
 
 
@@ -45,6 +45,7 @@ def min_path_order(cycle_order: int) -> int:
     otherwise. One below either bound the construction provably collides (see
     the boundary tests), so shorter paths take label_short_path.
     """
+    cycle_order = _integer(cycle_order, "cycle order", InvalidParameterError)
     if cycle_order < 4 or cycle_order % 2:
         raise InvalidParameterError(
             f"cycle order must be an even integer >= 4, got {cycle_order}"
@@ -135,10 +136,9 @@ def label_short_path(spec: FamilySpec) -> Labeling:
 def _check_bound(spec: FamilySpec, policy: BoundPolicy) -> None:
     minimum = min_path_order(spec.cycle_order)
     if policy is BoundPolicy.ENFORCE and spec.path_order < minimum:
-        raise BoundViolationError(
+        raise InvalidParameterError(
             f"path order {spec.path_order} is below the minimum {minimum} "
-            f"for cycle order {spec.cycle_order}; label_short_path covers it",
-            required_min=minimum,
+            f"for cycle order {spec.cycle_order}; label_short_path covers it"
         )
 
 

@@ -6,7 +6,7 @@ class OddGracefulError(Exception):
 
 
 class InvalidParameterError(OddGracefulError, ValueError):
-    """A structural parameter (cycle order, path order, ...) is out of range."""
+    """A parameter (cycle or path order, node budget) is not an integer or out of range."""
 
 
 class ValidationError(OddGracefulError, ValueError):
@@ -15,14 +15,6 @@ class ValidationError(OddGracefulError, ValueError):
 
 class IncompleteLabelingError(OddGracefulError, ValueError):
     """A labeling does not cover every vertex of its graph."""
-
-
-class BoundViolationError(OddGracefulError, ValueError):
-    """Requested path order is below the constructible minimum for the cycle."""
-
-    def __init__(self, message: str, required_min: int):
-        super().__init__(message)
-        self.required_min = required_min
 
 
 class ParseError(OddGracefulError, ValueError):

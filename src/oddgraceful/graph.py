@@ -14,6 +14,13 @@ from .errors import InvalidParameterError, ValidationError
 MAX_VERTICES = 2**22
 
 
+def _integer(value, what: str, error: type[Exception]) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph over vertex ids 0..vertex_count-1.
@@ -42,7 +49,8 @@ class Graph:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
             object.__setattr__(self, "edges", edges)
-        n = self.vertex_count
+        n = _integer(self.vertex_count, "vertex count", ValidationError)
+        object.__setattr__(self, "vertex_count", n)
         if n < 0:
             raise ValidationError("vertex count must be non-negative")
         if n > MAX_VERTICES:
@@ -85,7 +93,10 @@ class FamilySpec:
     path_order: int
 
     def __post_init__(self):
-        m, n = self.cycle_order, self.path_order
+        m = _integer(self.cycle_order, "cycle order", InvalidParameterError)
+        n = _integer(self.path_order, "path order", InvalidParameterError)
+        object.__setattr__(self, "cycle_order", m)
+        object.__setattr__(self, "path_order", n)
         if m < 4 or m % 2:
             raise InvalidParameterError(f"cycle order must be an even integer >= 4, got {m}")
         if n < 2:

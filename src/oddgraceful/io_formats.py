@@ -16,7 +16,8 @@ Report format (write, parse for labeling documents)
         kind             "labeling" | "verify-report" | "search-outcome"
     kind "labeling": family (null or {cycle_order, path_order}), edge_count,
         labels (vertex-id order), weights (edge order), ok. When parsed back,
-        every number must be a JSON integer and ok a JSON boolean.
+        every number must be a JSON integer, ok a JSON boolean, weights must
+        hold edge_count entries and a family must have edge_count edges.
     kind "verify-report": ok, violations (list of {kind, ...} objects using
         the tags from labeling.VIOLATION_KINDS).
     kind "search-outcome": verdict, nodes_explored, solutions_found, labels
@@ -115,6 +116,8 @@ def build_labeling_document(
 
 
 def parse_labeling_document(text: str) -> LabelingDocument:
+    """Parse a labeling document that keeps the module docstring's rules, or
+    raise ParseError. Whether it fits a graph is the caller's to check."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -145,6 +148,12 @@ def parse_labeling_document(text: str) -> LabelingDocument:
         )
     if type(ok) is not bool:
         raise ParseError("malformed labeling document: ok must be true or false")
+    if len(weights) != edge_count:
+        raise ParseError(f"labeling document lists {len(weights)} weights for edge_count {edge_count}")
+    if family is not None and sum(family) - 1 != edge_count:
+        raise ParseError(
+            f"labeling document family {family} has {sum(family) - 1} edges, edge_count is {edge_count}"
+        )
     return LabelingDocument(family, edge_count, tuple(labels), tuple(weights), ok)
 
 

@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .graph import Graph
+from .graph import Graph, _integer
 from .labeling import Labeling
 
 
@@ -43,18 +43,19 @@ class SearchVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """node_budget caps backtrack nodes (None = run to exhaustion; a negative
-    budget raises InvalidParameterError); find_all counts every solution
-    instead of stopping at the first."""
+    """node_budget caps backtrack nodes (None = run to exhaustion; a budget
+    that is negative or not an integer raises InvalidParameterError);
+    find_all counts every solution instead of stopping at the first."""
 
     node_budget: int | None = None
     find_all: bool = False
 
     def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 0:
-            raise InvalidParameterError(
-                f"node budget must be non-negative, got {self.node_budget}"
-            )
+        if self.node_budget is not None:
+            budget = _integer(self.node_budget, "node budget", InvalidParameterError)
+            if budget < 0:
+                raise InvalidParameterError(f"node budget must be non-negative, got {budget}")
+            object.__setattr__(self, "node_budget", budget)
 
 
 @dataclass(frozen=True)

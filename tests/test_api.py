@@ -9,7 +9,6 @@ import oddgraceful
 
 PUBLIC_NAMES = [
     "BoundPolicy",
-    "BoundViolationError",
     "DuplicateEdgeWeight",
     "DuplicateVertexLabel",
     "EdgeWeightEven",

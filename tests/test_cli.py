@@ -375,8 +375,8 @@ def test_verify_recomputes_weights_and_ok(tmp_path, capsys):
     "changes, message",
     [
         (
-            {"edge_count": 99, "weights": [7, 7, 7], "ok": False},
-            "labeling document has edge_count 99, graph has 1 edges",
+            {"edge_count": 3, "weights": [7, 7, 7], "ok": False},
+            "labeling document has edge_count 3, graph has 1 edges",
         ),
         ({"weights": [1, 3]}, "labeling document lists 2 weights for edge_count 1"),
         ({"weights": []}, "labeling document lists 0 weights for edge_count 1"),

@@ -3,7 +3,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oddgraceful import (
-    BoundViolationError,
     DuplicateEdgeWeight,
     FamilySpec,
     InvalidParameterError,
@@ -85,7 +84,7 @@ def test_min_path_order(m, expected):
     assert min_path_order(m) == expected
 
 
-@pytest.mark.parametrize("m", [3, 2, 0, -4, 7])
+@pytest.mark.parametrize("m", [3, 2, 0, -4, 7, 8.0, "8"])
 def test_min_path_order_rejects_bad_cycles(m):
     with pytest.raises(InvalidParameterError):
         min_path_order(m)
@@ -121,11 +120,13 @@ def test_six_cycle_even_index_variant_agrees_only_at_two():
     assert DuplicateEdgeWeight(5, ((7, 8), (9, 10))) in report.violations
 
 
-def test_enforce_rejects_below_minimum_and_names_it():
-    with pytest.raises(BoundViolationError) as exc_info:
-        label_closed_form(FamilySpec(8, 6))
-    assert exc_info.value.required_min == 7
-    assert "7" in str(exc_info.value)
+@pytest.mark.parametrize("construct", [label_closed_form, label_algorithmic], ids=lambda f: f.__name__)
+def test_enforce_rejects_below_minimum_and_names_it(construct):
+    # Both forms reject the same fault the same way, as label_short_path does
+    # for n > m: one error type, naming the minimum and the form that covers it.
+    with pytest.raises(InvalidParameterError) as exc_info:
+        construct(FamilySpec(8, 6))
+    assert "minimum 7" in str(exc_info.value)
     assert "label_short_path" in str(exc_info.value)
 
 

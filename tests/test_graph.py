@@ -94,7 +94,9 @@ def test_union_edge_count_formula(m, n):
     assert make_union(FamilySpec(m, n)).edge_count == m + n - 1
 
 
-@pytest.mark.parametrize("m, n", [(3, 5), (2, 5), (7, 4), (4, 1), (4, 0)])
+@pytest.mark.parametrize(
+    "m, n", [(3, 5), (2, 5), (7, 4), (4, 1), (4, 0), (4.0, 3), (4, 3.0), ("4", 3), (4, 2.5)]
+)
 def test_family_spec_rejects_bad_orders(m, n):
     with pytest.raises(InvalidParameterError):
         FamilySpec(m, n)
@@ -138,9 +140,12 @@ def test_graph_rejects_endpoint_out_of_range():
         Graph(2, ((-1, 0),))
 
 
-def test_graph_rejects_negative_vertex_count():
+@pytest.mark.parametrize("n", [-1, 3.0, 2.5, "3"])
+def test_graph_rejects_negative_vertex_count(n):
+    # A float count would be written as a "graph 3.0" header, which
+    # parse_edge_list rejects.
     with pytest.raises(ValidationError):
-        Graph(-1, ())
+        Graph(n, ())
 
 
 def test_graph_is_immutable():
@@ -243,6 +248,16 @@ def test_graph_coerces_other_edge_forms():
         assert type(g.edges) is tuple
         assert {type(e) for e in g.edges} == {tuple}
         assert {type(v) for e in g.edges for v in e} == {int}
+
+
+def test_sizes_are_stored_as_ints():
+    # Sizes go through operator.index like endpoints: bools and other
+    # __index__ ints are accepted and stored as the int they stand for.
+    assert Graph(_Id(3), ((0, 1),)) == Graph(3, ((0, 1),))
+    assert type(Graph(True).vertex_count) is int
+    spec = FamilySpec(_Id(4), _Id(3))
+    assert spec == FamilySpec(4, 3)
+    assert {type(spec.cycle_order), type(spec.path_order)} == {int}
 
 
 @pytest.mark.parametrize(

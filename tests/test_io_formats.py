@@ -259,6 +259,43 @@ def test_parse_labeling_document_rejects_wrong_kind():
         parse_labeling_document('{"kind": "verify-report"}')
 
 
+U43_DOCUMENT = {
+    "kind": "labeling",
+    "family": {"cycle_order": 4, "path_order": 3},
+    "edge_count": 6,
+    "labels": list(C4_P3.labels),
+    "weights": [11, 9, 5, 7, 3, 1],
+    "ok": True,
+}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"weights": [11, 9, 5, 7, 3, 1, 13]}, "labeling document lists 7 weights for edge_count 6"),
+        ({"weights": [11, 9, 5, 7, 3]}, "labeling document lists 5 weights for edge_count 6"),
+        (
+            {"family": {"cycle_order": 4, "path_order": 4}},
+            "labeling document family (4, 4) has 7 edges, edge_count is 6",
+        ),
+        ({}, None),
+    ],
+    ids=["extra-weight", "missing-weight", "family", "consistent"],
+)
+def test_parse_labeling_document_rejects_self_contradiction(changes, message):
+    # The parser, not only the CLI, refuses a document that contradicts
+    # itself; the messages carry no line number.
+    text = json.dumps({**U43_DOCUMENT, **changes})
+    if message is None:
+        doc = parse_labeling_document(text)
+        assert (doc.family, doc.edge_count, len(doc.weights)) == ((4, 3), 6, 6)
+        return
+    with pytest.raises(ParseError) as exc_info:
+        parse_labeling_document(text)
+    assert str(exc_info.value) == message
+    assert exc_info.value.line is None
+
+
 def test_parse_labeling_document_reports_json_line():
     with pytest.raises(ParseError) as exc_info:
         parse_labeling_document('{\n  "kind": broken\n}')

@@ -145,9 +145,19 @@ def test_budget_exceeded_on_tiny_budget():
     assert out.nodes_explored == 3
 
 
-def test_negative_budget_is_rejected():
-    with pytest.raises(InvalidParameterError, match="node budget must be non-negative, got -1"):
-        SearchConfig(node_budget=-1)
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (-1, "node budget must be non-negative, got -1"),
+        # The node count never equals a float budget, so it would cut nothing.
+        (2.5, "node budget must be an integer, got 2.5"),
+        ("5", "node budget must be an integer, got '5'"),
+    ],
+    ids=["negative", "float", "string"],
+)
+def test_negative_budget_is_rejected(budget, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        SearchConfig(node_budget=budget)
 
 
 def test_zero_budget_cuts_before_the_first_node():
