@@ -111,6 +111,7 @@ class FamilySpec:
 
 def make_path(length: int) -> Graph:
     """Path on `length` vertices: edges (0,1), (1,2), ..., (length-2, length-1)."""
+    length = _integer(length, "path length", InvalidParameterError)
     if length < 1:
         raise InvalidParameterError(f"path needs at least one vertex, got {length}")
     return Graph(length, tuple(pairwise(range(length))))
@@ -118,6 +119,7 @@ def make_path(length: int) -> Graph:
 
 def make_cycle(length: int) -> Graph:
     """Cycle on `length` vertices: edges (i, i+1 mod length) in ring order."""
+    length = _integer(length, "cycle length", InvalidParameterError)
     if length < 3:
         raise InvalidParameterError(f"cycle needs at least three vertices, got {length}")
     return Graph(length, tuple((i, (i + 1) % length) for i in range(length)))

@@ -23,8 +23,8 @@ Report format (write, parse for labeling documents)
     kind "search-outcome": verdict, nodes_explored, solutions_found, labels
         (null unless a labeling was found), odd_cycle_witness.
     The text is json.dumps(report, indent=2, sort_keys=True) plus a newline,
-    so equal inputs give byte-identical reports; int arrays get those same
-    bytes from one C-encoder call each (see _indented).
+    so equal inputs give byte-identical reports. Each value is encoded once,
+    compactly, and a flat array is laid out from that text (see _indented).
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
 is supplied (bare ids otherwise) and edge text is the induced weight.
@@ -163,44 +163,54 @@ def emit_report(
 ) -> str:
     """Serialize a report; byte-stable for equal inputs within a release.
 
-    Without source_text, input_digest is the SHA-256 of the compact text
-    json.dumps(body, sort_keys=True, separators=(",", ":")). That text is
-    hashed one top-level value at a time, never held whole.
+    Each body value is encoded once, as its compact text
+    json.dumps(value, sort_keys=True, separators=(",", ":")), and laid out
+    from it. Without source_text, input_digest is the SHA-256 of the compact
+    body, hashed one top-level value at a time, never held whole.
     """
     body = _payload_body(payload)
     digest = hashlib.sha256()
     if source_text is not None:
         digest.update(source_text.encode())
-    else:
-        separator = "{"
-        for key in sorted(body):
+    texts = {}
+    separator = "{"
+    for key in sorted(body):
+        compact = json.dumps(body[key], sort_keys=True, separators=(",", ":"))
+        if source_text is None:
             digest.update(f"{separator}{json.dumps(key)}:".encode())
-            digest.update(json.dumps(body[key], sort_keys=True, separators=(",", ":")).encode())
+            digest.update(compact.encode())
             separator = ","
+        texts[key] = _indented(body[key], compact)
+        del compact  # freed before the next value is encoded
+    if source_text is None:
         digest.update(b"}")
-    body["report_version"] = REPORT_VERSION
-    body["tool_version"] = __version__
-    body["input_digest"] = f"sha256:{digest.hexdigest()}"
+    # The envelope values are scalars, whose indented text is their JSON text.
+    texts["report_version"] = json.dumps(REPORT_VERSION)
+    texts["tool_version"] = json.dumps(__version__)
+    texts["input_digest"] = json.dumps(f"sha256:{digest.hexdigest()}")
     parts = []
     separator = "{\n  "
-    for key in sorted(body):
-        parts += (separator, json.dumps(key), ": ", _indented(body[key]))
+    for key in sorted(texts):
+        parts += (separator, json.dumps(key), ": ", texts[key])
         separator = ",\n  "
     parts.append("\n}\n")
     return "".join(parts)
 
 
-def _indented(value) -> str:
-    """The indent=2 text of a value one level inside an object.
+def _indented(value, compact: str) -> str:
+    """The indent=2 text of a value one level inside an object, given its
+    compact text.
 
-    The indenting encoder runs in pure Python, so a non-empty int array is
-    laid out by the C encoder instead, with the line break in its item
-    separator. Re-indenting encoder output by replacing newlines is exact
-    because the encoder escapes every newline inside a string.
+    The indenting encoder runs in pure Python. A non-empty array with no
+    '"', '[' or '{' after its opening bracket holds only scalars, and no
+    scalar's JSON text contains a comma, so its indented text is the compact
+    one with a line break after each comma. Every other value is re-indented
+    by replacing newlines, which is exact because the encoder escapes every
+    newline inside a string.
     """
-    # type() rather than isinstance(): bool is a subclass of int.
-    if type(value) in (list, tuple) and value and set(map(type, value)) <= {int}:
-        return "[\n    " + json.dumps(value, separators=(",\n    ", ":"))[1:-1] + "\n  ]"
+    flat = compact[0] == "[" and compact.find("[", 1) < 0 and '"' not in compact and "{" not in compact
+    if flat and compact != "[]":
+        return "[\n    " + compact[1:-1].replace(",", ",\n    ") + "\n  ]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 

@@ -16,8 +16,8 @@ from itertools import chain, compress, filterfalse, islice
 from operator import sub
 from typing import Union
 
-from .errors import IncompleteLabelingError
-from .graph import FamilySpec, Graph
+from .errors import IncompleteLabelingError, ValidationError
+from .graph import FamilySpec, Graph, _integer
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,16 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     labels by ascending label, even weights in edge order, duplicated weights
     by ascending weight, and finally the weight-set difference if any. The
     detail is built from the two scans that _verdict read the verdict from.
+    A labeling of the wrong length raises IncompleteLabelingError, and then
+    a label that is not an integer raises ValidationError naming its vertex.
     """
-    weights = induced_weights(g, labeling)  # checks that the labeling is total
-    labels = labeling.labels
+    labels = _total_labels(g.vertex_count, labeling)
+    # type() rather than isinstance(): bool is a subclass of int. Only on a
+    # miss is each label offered to index(), to name the first one it refuses.
+    if not set(map(type, labels)) <= {int}:
+        for v, x in enumerate(labels):
+            _integer(x, f"label of vertex {v}", ValidationError)
+    weights = induced_weights(g, labeling)
     ok, label_scan, weight_scan = _verdict(labels, weights)
     if ok:
         return VerifyReport(True, ())

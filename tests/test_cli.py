@@ -86,11 +86,12 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
 
 def test_label_peak_memory(tmp_path):
     # label builds no graph: the weights come from the labels alone. The
-    # writer lays out each int array with one C-encoder call and hashes the
-    # compact text one top-level value at a time. This reads 3.5 MiB here,
-    # and 3.7 MiB when the graph was built and freed before the emit; with
-    # the earlier writer, keeping the graph alive through the emit read
-    # 5.3 MiB, and validating the graph with the digits made twice read 7.4.
+    # writer encodes each value once, as compact text that it hashes and lays
+    # a flat array out from. This reads 3.4 MiB here; encoding each int
+    # array a second time for its layout read 3.5 MiB, and building the
+    # graph and freeing it before the emit read 3.7 MiB. With the earlier
+    # writer, keeping the graph alive through the emit read 5.3 MiB, and
+    # validating the graph with the digits made twice read 7.4.
     out = str(tmp_path / "l.json")
     tracemalloc.start()
     try:

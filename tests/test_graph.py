@@ -33,9 +33,11 @@ def test_make_path_five():
     assert make_path(5).edges == ((0, 1), (1, 2), (2, 3), (3, 4))
 
 
-def test_make_path_rejects_zero():
+@pytest.mark.parametrize("length", [0, 2.0, "2"])
+def test_make_path_rejects_zero(length):
+    # A float or a string length raises the package's error, as a short one does.
     with pytest.raises(InvalidParameterError):
-        make_path(0)
+        make_path(length)
 
 
 def test_make_cycle_triangle():
@@ -49,9 +51,10 @@ def test_make_cycle_counts(length):
     assert g.edge_count == length
 
 
-def test_make_cycle_rejects_small():
+@pytest.mark.parametrize("length", [2, 4.0, "4"])
+def test_make_cycle_rejects_small(length):
     with pytest.raises(InvalidParameterError):
-        make_cycle(2)
+        make_cycle(length)
 
 
 @pytest.mark.parametrize(

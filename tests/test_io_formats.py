@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddgraceful import (
@@ -405,10 +405,23 @@ json_values = st.recursive(
         max_size=6,
     )
 )
+# The edges of the flat-array rule: empty and one-item arrays, scalars that
+# are not ints, strings holding a comma, a bracket or a quote, nested arrays
+# and objects, and an int past 2**64.
+@example({"a": []})
+@example({"a": [7]})
+@example({"a": [True, None, -3]})
+@example({"a": ["a,b"]})
+@example({"a": ["a,b", "[c]"]})
+@example({"a": ['"', 1]})
+@example({"a": [[1, 2], 3]})
+@example({"a": [{"k": 1}]})
+@example({"a": (2**64 + 1, -(2**70))})
 def test_indented_matches_json_dumps(doc):
     # Tuples are in the strategy because _payload_body passes int arrays as
     # tuples, which json encodes as arrays.
-    members = ",\n".join(f"  {json.dumps(key)}: {_indented(doc[key])}" for key in sorted(doc))
+    compact = {key: json.dumps(value, sort_keys=True, separators=(",", ":")) for key, value in doc.items()}
+    members = ",\n".join(f"  {json.dumps(key)}: {_indented(doc[key], compact[key])}" for key in sorted(doc))
     assert "{\n" + members + "\n}" == json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -450,12 +463,15 @@ def reference_report(payload, source_text=None) -> str:
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-# Arrays that must take the int-array layout and arrays that must not: empty,
-# negative and large ints, and bools alone or mixed in (bool subclasses int).
-int_arrays = st.one_of(
+# Arrays that must take the flat-array layout and arrays that must not:
+# empty, negative and large ints, bools alone or mixed in, strings holding a
+# comma, a bracket or a quote, and nested int arrays.
+arrays = st.one_of(
     st.lists(st.integers(), max_size=8),
     st.lists(st.booleans(), min_size=1, max_size=4),
     st.lists(st.integers(-5, 5) | st.booleans(), min_size=1, max_size=6),
+    st.lists(st.text(st.sampled_from(',[]{}"a\\'), max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(), max_size=3), min_size=1, max_size=4),
 ).map(tuple)
 pairs = st.tuples(st.integers(), st.integers())
 small_ints = st.integers(-3, 40)
@@ -464,8 +480,8 @@ labeling_documents = st.builds(
     LabelingDocument,
     family=st.none() | pairs,
     edge_count=st.integers(),
-    labels=int_arrays,
-    weights=int_arrays,
+    labels=arrays,
+    weights=arrays,
     ok=st.booleans(),
 )
 violations = st.one_of(
@@ -497,15 +513,18 @@ search_outcomes = st.builds(
     st.one_of(labeling_documents, verify_reports, search_outcomes),
     st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
 )
+@example(LabelingDocument((4, 3), 6, ("a,b",), ([1, 2], [3]), True), None)
 def test_emit_report_matches_reference_encoder(payload, source_text):
     assert emit_report(payload, source_text) == reference_report(payload, source_text)
 
 
 def test_emit_report_peak_memory():
-    # Each text of an int array comes from one C-encoder call, and the
-    # compact text is hashed one top-level value at a time. This peaks at 2.0
-    # times the report length here; a str object per label, joined into both
-    # texts, peaked at 4.3.
+    # Each value is encoded once, as compact text that is hashed and then
+    # laid out, and each compact text is freed before the next value is
+    # encoded. This peaks at 2.0 times the report length here, set by the
+    # final join; keeping the last compact text alive through the next
+    # encode read 2.3, and a str object per label, joined into both texts,
+    # peaked at 4.3.
     spec = FamilySpec(40, 199_961)
     g, labeling = make_union(spec), label_closed_form(spec)
     doc = build_labeling_document(g, labeling, verify_odd_graceful(g, labeling).ok, (40, 199_961))

@@ -13,6 +13,7 @@ from oddgraceful import (
     Graph,
     IncompleteLabelingError,
     Labeling,
+    ValidationError,
     VertexLabelOutOfRange,
     complement_labeling,
     induced_weights,
@@ -61,6 +62,21 @@ def test_edge_weights_requires_total_labeling():
         induced_weights(make_path(3), Labeling((0, 1)))
     with pytest.raises(IncompleteLabelingError):
         verify_odd_graceful(make_path(3), Labeling((0, 1)))
+
+
+@pytest.mark.parametrize("bad", [0.0, "0", None])
+def test_verify_rejects_non_integer_label(bad):
+    # Refused with the package's error naming the vertex, not a TypeError
+    # from the scan or the weight subtraction; the length check comes first.
+    with pytest.raises(ValidationError, match=r"^label of vertex 1 must be an integer"):
+        verify_odd_graceful(make_path(3), Labeling((0, bad, 3)))
+    with pytest.raises(IncompleteLabelingError):
+        verify_odd_graceful(make_path(3), Labeling((0, bad)))
+
+
+def test_verify_accepts_bool_labels():
+    # bool fails the type() pass, so it reaches index(), which takes it.
+    assert verify_odd_graceful(make_path(2), Labeling((False, True))).ok
 
 
 @st.composite
