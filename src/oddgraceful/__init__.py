@@ -12,7 +12,6 @@ from .construct import (
     min_path_order,
 )
 from .errors import (
-    IncompleteLabelingError,
     InvalidParameterError,
     OddGracefulError,
     ParseError,
@@ -63,7 +62,6 @@ __all__ = [
     "EdgeWeightSetMismatch",
     "FamilySpec",
     "Graph",
-    "IncompleteLabelingError",
     "InvalidParameterError",
     "Labeling",
     "LabelingDocument",

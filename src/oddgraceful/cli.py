@@ -4,10 +4,10 @@ Subcommands: label (construct a family labeling), verify (check a labeling
 file against a graph file), search (exhaustive oracle), dot (render a graph
 file). Exit codes are part of the contract: label and verify exit 0 exactly
 when the labeling is odd graceful, search exits 0/2/3 for found / exhausted /
-budget-exceeded, and any input or parameter problem exits 64. --format, on
-label and search only, picks the output text and never the exit code. Below
-min_path_order, label takes label_short_path whatever --method says. Timing
-lives outside the package, in the benchmark under perfbench/.
+budget-exceeded, and any bad command line, input or parameter exits 64.
+--format, on label and search only, picks the output text and never the exit
+code. Below min_path_order, label takes label_short_path whatever --method
+says. Timing lives outside the package, in the benchmark under perfbench/.
 """
 
 from __future__ import annotations
@@ -56,8 +56,17 @@ def run() -> None:
     sys.exit(main())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a rejected command line; argparse's own 2 is search's
+    exhausted verdict. add_subparsers gives subcommand parsers this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddgraceful",
         description="Construct, verify, and search odd-graceful labelings.",
     )

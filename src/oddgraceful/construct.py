@@ -89,16 +89,29 @@ def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     """Pass-based labeling; equals label_closed_form exactly on every input.
 
     The cycle pass and the path pass are independent once the closing label
-    and the reserved weight are fixed, so they could run concurrently; here
-    they run back to back.
+    and the reserved weight are fixed.
     """
     _check_bound(spec, policy)
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
     closing_label = 2 * q - (2 * m - 3)
     reserved_weight = 2 * q - 3 * m + 5
     labels = [0] * (m + n)
-    _cycle_pass(labels, m, q, closing_label)
-    _path_pass(labels, m, n, closing_label, reserved_weight)
+
+    # Cycle pass: evens up from 0 alternate with odds down from 2q-1, then the closing label.
+    for i in range(3, m, 2):
+        labels[i - 1] = labels[i - 3] + 2
+    for i in range(2, m, 2):
+        labels[i - 1] = 2 * q - i + 1
+    labels[m - 1] = closing_label
+
+    # Path pass: add and subtract in turn a falling weight that skips the reserved one.
+    labels[m] = 1
+    w = closing_label
+    for j in range(1, n):
+        w -= 2
+        if w == reserved_weight:
+            w -= 2
+        labels[m + j] = labels[m + j - 1] + (w if j % 2 else -w)
     return Labeling(tuple(labels))
 
 
@@ -140,22 +153,3 @@ def _check_bound(spec: FamilySpec, policy: BoundPolicy) -> None:
             f"path order {spec.path_order} is below the minimum {minimum} "
             f"for cycle order {spec.cycle_order}; label_short_path covers it"
         )
-
-
-def _cycle_pass(labels: list[int], m: int, q: int, closing_label: int) -> None:
-    labels[0] = 0
-    for i in range(3, m, 2):
-        labels[i - 1] = labels[i - 3] + 2
-    for i in range(2, m, 2):
-        labels[i - 1] = 2 * q - i + 1
-    labels[m - 1] = closing_label
-
-
-def _path_pass(labels: list[int], m: int, n: int, closing_label: int, reserved_weight: int) -> None:
-    labels[m] = 1
-    w = closing_label
-    for j in range(1, n):
-        w -= 2
-        if w == reserved_weight:
-            w -= 2
-        labels[m + j] = labels[m + j - 1] + (w if j % 2 else -w)

@@ -10,11 +10,8 @@ class InvalidParameterError(OddGracefulError, ValueError):
 
 
 class ValidationError(OddGracefulError, ValueError):
-    """Input data breaks a graph invariant (self-loop, duplicate edge, bad id)."""
-
-
-class IncompleteLabelingError(OddGracefulError, ValueError):
-    """A labeling does not cover every vertex of its graph."""
+    """Input data breaks a graph invariant (self-loop, duplicate edge, bad id), or
+    a labeling does not fit its graph (length, edge count, a non-integer label)."""
 
 
 class ParseError(OddGracefulError, ValueError):

@@ -238,9 +238,8 @@ def _payload_body(payload) -> dict:
             "kind": "labeling",
             "family": family,
             "edge_count": payload.edge_count,
-            # tuple() returns a tuple argument itself, without a copy.
-            "labels": tuple(payload.labels),
-            "weights": tuple(payload.weights),
+            "labels": payload.labels,
+            "weights": payload.weights,
             "ok": payload.ok,
         }
     if isinstance(payload, VerifyReport):

@@ -16,7 +16,7 @@ from itertools import chain, compress, filterfalse, islice
 from operator import sub
 from typing import Union
 
-from .errors import IncompleteLabelingError, ValidationError
+from .errors import ValidationError
 from .graph import FamilySpec, Graph, _integer
 
 
@@ -119,8 +119,8 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     labels by ascending label, even weights in edge order, duplicated weights
     by ascending weight, and finally the weight-set difference if any. The
     detail is built from the two scans that _verdict read the verdict from.
-    A labeling of the wrong length raises IncompleteLabelingError, and then
-    a label that is not an integer raises ValidationError naming its vertex.
+    A labeling whose length is not the vertex count raises ValidationError,
+    and then so does a label that is not an integer, naming its vertex.
     """
     labels = _total_labels(g.vertex_count, labeling)
     # type() rather than isinstance(): bool is a subclass of int. Only on a
@@ -184,7 +184,7 @@ def _family_weights(spec: FamilySpec, labeling: Labeling) -> tuple[int, ...]:
 def _total_labels(vertex_count: int, labeling: Labeling) -> tuple[int, ...]:
     labels = labeling.labels
     if len(labels) != vertex_count:
-        raise IncompleteLabelingError(
+        raise ValidationError(
             f"labeling covers {len(labels)} vertices, graph has {vertex_count}"
         )
     return labels

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "EdgeWeightSetMismatch",
     "FamilySpec",
     "Graph",
-    "IncompleteLabelingError",
     "InvalidParameterError",
     "Labeling",
     "LabelingDocument",

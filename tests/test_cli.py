@@ -513,14 +513,14 @@ def test_dot_subcommand_with_labeling(tmp_path, capsys):
 def test_bench_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["bench", "--q-list", "6,12"])
-    assert exc_info.value.code == 2
+    assert exc_info.value.code == 64
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_search_no_precheck_flag_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["search", write_graph(tmp_path, make_cycle(4)), "--no-precheck"])
-    assert exc_info.value.code == 2
+    assert exc_info.value.code == 64
     assert "unrecognized arguments: --no-precheck" in capsys.readouterr().err
 
 
@@ -536,7 +536,7 @@ def test_search_no_precheck_flag_is_gone(tmp_path, capsys):
 def test_table_and_label_force_are_gone(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
-    assert exc_info.value.code == 2
+    assert exc_info.value.code == 64
     assert message in capsys.readouterr().err
 
 
@@ -544,10 +544,50 @@ def test_dot_rejects_format(tmp_path, capsys):
     graph_file = write_graph(tmp_path, make_cycle(4))
     with pytest.raises(SystemExit) as exc_info:
         main(["dot", graph_file, "--format", "report"])
-    assert exc_info.value.code == 2
+    assert exc_info.value.code == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --format report" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "{graph}", "--budget", "abc"], "argument --budget: invalid int value: 'abc'"),
+        (["label", "--cycle", "x", "--path", "3"], "argument --cycle: invalid int value: 'x'"),
+        (["label", "--cycle", "4", "--path", "3", "--method", "fast"],
+         "argument --method: invalid choice: 'fast'"),
+        (["search", "{graph}", "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["verify", "{graph}", "{graph}", "--quick"], "unrecognized arguments: --quick"),
+        (["label", "--cycle", "4"], "the following arguments are required: --path"),
+        (["dot"], "the following arguments are required: graph_file"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "bad-int-label", "bad-choice", "bad-format", "unknown-command",
+         "unknown-flag", "missing-flag", "missing-positional", "no-command"],
+)
+def test_rejected_command_line_exits_usage(tmp_path, capsys, argv, message):
+    # argparse's own exit status is 2, which search also uses for its
+    # exhausted verdict; every rejection must exit 64 with argparse's usage.
+    graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
+    with pytest.raises(SystemExit) as exc_info:
+        main([arg.format(graph=graph_file) for arg in argv])
+    assert exc_info.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: oddgraceful")
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["--version"], ["search", "--help"]], ids=["help", "version", "search-help"]
+)
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["label", "search"])
@@ -629,7 +669,8 @@ def test_dot_header_past_vertex_bound_exits_usage(tmp_path, capsys):
     assert err.startswith("error: ") and "exceeds the maximum" in err
 
 
-# Exit codes of the README table, per command; argparse itself exits 2.
+# Exit codes of the README table, per command; a rejected command line also
+# exits 64, raised by argparse as SystemExit.
 README_EXIT_CODES = {"verify": {0, 1, 64}, "dot": {0, 64}, "search": {0, 2, 3, 64}}
 
 
@@ -675,6 +716,6 @@ def test_cli_exit_codes_follow_readme_table(tmp_path, inputs, command):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejected the command line
-            assert exc.code == 2
+            assert exc.code == 64
             return
     assert code in README_EXIT_CODES[command]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oddgraceful import (
     FamilySpec,
     Graph,
-    IncompleteLabelingError,
     Labeling,
     ParseError,
     SearchConfig,
@@ -171,7 +170,7 @@ def test_parse_edge_list_peak_memory():
 
 
 def test_dot_requires_total_labeling():
-    with pytest.raises(IncompleteLabelingError):
+    with pytest.raises(ValidationError, match=r"^labeling covers 2 vertices, graph has 3$"):
         emit_dot(make_path(3), Labeling((0, 1)))
 
 
@@ -418,8 +417,8 @@ json_values = st.recursive(
 @example({"a": [{"k": 1}]})
 @example({"a": (2**64 + 1, -(2**70))})
 def test_indented_matches_json_dumps(doc):
-    # Tuples are in the strategy because _payload_body passes int arrays as
-    # tuples, which json encodes as arrays.
+    # Tuples are in the strategy because _payload_body passes a document's
+    # int arrays as they are, tuples, which json encodes as arrays.
     compact = {key: json.dumps(value, sort_keys=True, separators=(",", ":")) for key, value in doc.items()}
     members = ",\n".join(f"  {json.dumps(key)}: {_indented(doc[key], compact[key])}" for key in sorted(doc))
     assert "{\n" + members + "\n}" == json.dumps(doc, indent=2, sort_keys=True)

@@ -11,7 +11,6 @@ from oddgraceful import (
     EdgeWeightSetMismatch,
     FamilySpec,
     Graph,
-    IncompleteLabelingError,
     Labeling,
     ValidationError,
     VertexLabelOutOfRange,
@@ -58,9 +57,10 @@ def test_edge_weight_zero_on_constant_edge():
 
 
 def test_edge_weights_requires_total_labeling():
-    with pytest.raises(IncompleteLabelingError):
+    message = r"^labeling covers 2 vertices, graph has 3$"
+    with pytest.raises(ValidationError, match=message):
         induced_weights(make_path(3), Labeling((0, 1)))
-    with pytest.raises(IncompleteLabelingError):
+    with pytest.raises(ValidationError, match=message):
         verify_odd_graceful(make_path(3), Labeling((0, 1)))
 
 
@@ -70,7 +70,7 @@ def test_verify_rejects_non_integer_label(bad):
     # from the scan or the weight subtraction; the length check comes first.
     with pytest.raises(ValidationError, match=r"^label of vertex 1 must be an integer"):
         verify_odd_graceful(make_path(3), Labeling((0, bad, 3)))
-    with pytest.raises(IncompleteLabelingError):
+    with pytest.raises(ValidationError, match=r"^labeling covers 2 vertices, graph has 3$"):
         verify_odd_graceful(make_path(3), Labeling((0, bad)))
 
 
@@ -105,9 +105,10 @@ def test_family_weights_match_the_graph(case):
     g = make_union(spec)
     assert _family_weights(spec, labeling) == induced_weights(g, labeling)
     for wrong in (Labeling(labeling.labels[:-1]), Labeling(labeling.labels + (0,))):
-        with pytest.raises(IncompleteLabelingError) as expected:
+        message = rf"^labeling covers {len(wrong.labels)} vertices, graph has {g.vertex_count}$"
+        with pytest.raises(ValidationError, match=message) as expected:
             induced_weights(g, wrong)
-        with pytest.raises(IncompleteLabelingError) as got:
+        with pytest.raises(ValidationError, match=message) as got:
             _family_weights(spec, wrong)
         assert str(got.value) == str(expected.value)
 
