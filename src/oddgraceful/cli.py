@@ -27,8 +27,8 @@ from .errors import OddGracefulError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
     LabelingDocument,
+    _report_parts,
     emit_dot,
-    emit_report,
     parse_edge_list,
     parse_labeling_document,
 )
@@ -109,11 +109,13 @@ def _read(path: str) -> str:
         raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
 
 
-def _write(args, text: str) -> None:
+def _write(args, parts) -> None:
+    """Write the text parts in order, never joined, to --out or stdout."""
     if args.out is not None:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _cmd_label(args) -> int:
@@ -127,10 +129,13 @@ def _cmd_label(args) -> int:
     weights = _family_weights(spec, labeling)
     ok = _verdict(labeling.labels, weights)[0]
     if args.format == "dot":
-        _write(args, emit_dot(make_union(spec), labeling))
+        _write(args, (emit_dot(make_union(spec), labeling),))
     else:
         doc = LabelingDocument((args.cycle, args.path), spec.edge_count, labeling.labels, weights, ok)
-        _write(args, emit_report(doc))
+        parts = _report_parts(doc)
+        # The label and weight tuples are freed before the write encodes the parts.
+        del doc, labeling, weights
+        _write(args, parts)
     return EXIT_OK if ok else EXIT_INVALID
 
 
@@ -142,7 +147,7 @@ def _cmd_verify(args) -> int:
     report = verify_odd_graceful(g, labeling)
     # Free the graph and labels before the report is laid out.
     del g, labeling
-    _write(args, emit_report(report, source_text=graph_text + labeling_text))
+    _write(args, _report_parts(report, source_text=graph_text + labeling_text))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -154,9 +159,9 @@ def _cmd_search(args) -> int:
     if args.format == "dot":
         # With no labeling found this draws the bare graph; the exit code
         # stays the verdict.
-        _write(args, emit_dot(g, outcome.labeling))
+        _write(args, (emit_dot(g, outcome.labeling),))
     else:
-        _write(args, emit_report(outcome, source_text=graph_text))
+        _write(args, _report_parts(outcome, source_text=graph_text))
     return {
         SearchVerdict.FOUND: EXIT_OK,
         SearchVerdict.EXHAUSTED_NOT_FOUND: EXIT_NOT_FOUND,
@@ -167,7 +172,7 @@ def _cmd_search(args) -> int:
 def _cmd_dot(args) -> int:
     g = parse_edge_list(_read(args.graph_file))
     labeling = None if args.labeling is None else _labeling_for(g, _read(args.labeling))
-    _write(args, emit_dot(g, labeling))
+    _write(args, (emit_dot(g, labeling),))
     return EXIT_OK
 
 

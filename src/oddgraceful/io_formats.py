@@ -25,6 +25,9 @@ Report format (write, parse for labeling documents)
     The text is json.dumps(report, indent=2, sort_keys=True) plus a newline,
     so equal inputs give byte-identical reports. Each value is encoded once,
     compactly, and a flat array is laid out from that text (see _indented).
+    The report is built as a list of text parts (_report_parts); emit_report
+    joins them, and the CLI writes them unjoined, so no copy of the whole
+    text is made on the way to a file or stdout.
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
 is supplied (bare ids otherwise) and edge text is the induced weight.
@@ -161,7 +164,15 @@ def emit_report(
     payload: VerifyReport | SearchOutcome | LabelingDocument,
     source_text: str | None = None,
 ) -> str:
-    """Serialize a report; byte-stable for equal inputs within a release.
+    """Serialize a report; byte-stable for equal inputs within a release."""
+    return "".join(_report_parts(payload, source_text))
+
+
+def _report_parts(
+    payload: VerifyReport | SearchOutcome | LabelingDocument,
+    source_text: str | None = None,
+) -> list[str]:
+    """The report text as a list of parts, in order; emit_report joins them.
 
     Each body value is encoded once, as its compact text
     json.dumps(value, sort_keys=True, separators=(",", ":")), and laid out
@@ -185,33 +196,34 @@ def emit_report(
     if source_text is None:
         digest.update(b"}")
     # The envelope values are scalars, whose indented text is their JSON text.
-    texts["report_version"] = json.dumps(REPORT_VERSION)
-    texts["tool_version"] = json.dumps(__version__)
-    texts["input_digest"] = json.dumps(f"sha256:{digest.hexdigest()}")
+    texts["report_version"] = (json.dumps(REPORT_VERSION),)
+    texts["tool_version"] = (json.dumps(__version__),)
+    texts["input_digest"] = (json.dumps(f"sha256:{digest.hexdigest()}"),)
     parts = []
     separator = "{\n  "
     for key in sorted(texts):
-        parts += (separator, json.dumps(key), ": ", texts[key])
+        parts += (separator, json.dumps(key), ": ", *texts[key])
         separator = ",\n  "
     parts.append("\n}\n")
-    return "".join(parts)
+    return parts
 
 
-def _indented(value, compact: str) -> str:
+def _indented(value, compact: str) -> tuple[str, ...]:
     """The indent=2 text of a value one level inside an object, given its
-    compact text.
+    compact text, as parts to be written in order.
 
     The indenting encoder runs in pure Python. A non-empty array with no
     '"', '[' or '{' after its opening bracket holds only scalars, and no
     scalar's JSON text contains a comma, so its indented text is the compact
     one with a line break after each comma. Every other value is re-indented
     by replacing newlines, which is exact because the encoder escapes every
-    newline inside a string.
+    newline inside a string. A flat array's brackets are parts of their own,
+    so no concatenation copies its body.
     """
     flat = compact[0] == "[" and compact.find("[", 1) < 0 and '"' not in compact and "{" not in compact
     if flat and compact != "[]":
-        return "[\n    " + compact[1:-1].replace(",", ",\n    ") + "\n  ]"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return ("[\n    ", compact[1:-1].replace(",", ",\n    "), "\n  ]")
+    return (json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "),)
 
 
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:

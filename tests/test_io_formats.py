@@ -31,7 +31,7 @@ from oddgraceful import (
 )
 from oddgraceful.construct import BoundPolicy
 from oddgraceful.graph import MAX_VERTICES
-from oddgraceful.io_formats import REPORT_VERSION, LabelingDocument, _indented
+from oddgraceful.io_formats import REPORT_VERSION, LabelingDocument, _indented, _report_parts
 from oddgraceful.labeling import (
     VIOLATION_KINDS,
     DuplicateEdgeWeight,
@@ -420,7 +420,9 @@ def test_indented_matches_json_dumps(doc):
     # Tuples are in the strategy because _payload_body passes a document's
     # int arrays as they are, tuples, which json encodes as arrays.
     compact = {key: json.dumps(value, sort_keys=True, separators=(",", ":")) for key, value in doc.items()}
-    members = ",\n".join(f"  {json.dumps(key)}: {_indented(doc[key], compact[key])}" for key in sorted(doc))
+    members = ",\n".join(
+        f"  {json.dumps(key)}: {''.join(_indented(doc[key], compact[key]))}" for key in sorted(doc)
+    )
     assert "{\n" + members + "\n}" == json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -520,19 +522,26 @@ def test_emit_report_matches_reference_encoder(payload, source_text):
 def test_emit_report_peak_memory():
     # Each value is encoded once, as compact text that is hashed and then
     # laid out, and each compact text is freed before the next value is
-    # encoded. This peaks at 2.0 times the report length here, set by the
-    # final join; keeping the last compact text alive through the next
+    # encoded. emit_report peaks at 2.0 times the report length here, set by
+    # its final join; keeping the last compact text alive through the next
     # encode read 2.3, and a str object per label, joined into both texts,
-    # peaked at 4.3.
+    # peaked at 4.3. _report_parts, whose parts the CLI writes unjoined,
+    # peaks at 1.58 times: there is no join, and a flat array's brackets are
+    # parts of their own, so no concatenation copies the array's text.
     spec = FamilySpec(40, 199_961)
     g, labeling = make_union(spec), label_closed_form(spec)
     doc = build_labeling_document(g, labeling, verify_odd_graceful(g, labeling).ok, (40, 199_961))
     del g, labeling
-    tracemalloc.start()
-    try:
-        text = emit_report(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peaks = [], []
+    for writer in (emit_report, _report_parts):
+        tracemalloc.start()
+        try:
+            results.append(writer(doc))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    text, parts = results
     assert doc.ok
-    assert peak < 3 * len(text)
+    assert "".join(parts) == text
+    assert peaks[0] < 3 * len(text)
+    assert peaks[1] < 1.7 * len(text)
