@@ -12,7 +12,6 @@ from .construct import (
     min_path_order,
 )
 from .errors import (
-    InvalidParameterError,
     OddGracefulError,
     ParseError,
     ValidationError,
@@ -62,7 +61,6 @@ __all__ = [
     "EdgeWeightSetMismatch",
     "FamilySpec",
     "Graph",
-    "InvalidParameterError",
     "Labeling",
     "LabelingDocument",
     "OddGracefulError",

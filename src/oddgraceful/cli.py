@@ -23,7 +23,7 @@ from .construct import (
     label_short_path,
     min_path_order,
 )
-from .errors import OddGracefulError, ValidationError
+from .errors import OddGracefulError, ParseError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
     LabelingDocument,
@@ -106,7 +106,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
 
 
 def _write(args, parts) -> None:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import enum
 
-from .errors import InvalidParameterError
-from .graph import FamilySpec, _integer
+from .errors import ValidationError
+from .graph import FamilySpec, _cycle_order
 from .labeling import Labeling
 
 
@@ -45,11 +45,7 @@ def min_path_order(cycle_order: int) -> int:
     otherwise. One below either bound the construction provably collides (see
     the boundary tests), so shorter paths take label_short_path.
     """
-    cycle_order = _integer(cycle_order, "cycle order", InvalidParameterError)
-    if cycle_order < 4 or cycle_order % 2:
-        raise InvalidParameterError(
-            f"cycle order must be an even integer >= 4, got {cycle_order}"
-        )
+    cycle_order = _cycle_order(cycle_order)
     return cycle_order - 1 if cycle_order % 4 == 0 else cycle_order - 3
 
 
@@ -131,7 +127,7 @@ def label_short_path(spec: FamilySpec) -> Labeling:
     """
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
     if n > m:
-        raise InvalidParameterError(f"path order {n} exceeds cycle order {m}")
+        raise ValidationError(f"path order {n} exceeds cycle order {m}")
     k = m // 2
     labels = [0] * (m + n)
     for i in range(1, m + 1):
@@ -149,7 +145,7 @@ def label_short_path(spec: FamilySpec) -> Labeling:
 def _check_bound(spec: FamilySpec, policy: BoundPolicy) -> None:
     minimum = min_path_order(spec.cycle_order)
     if policy is BoundPolicy.ENFORCE and spec.path_order < minimum:
-        raise InvalidParameterError(
+        raise ValidationError(
             f"path order {spec.path_order} is below the minimum {minimum} "
             f"for cycle order {spec.cycle_order}; label_short_path covers it"
         )

@@ -7,18 +7,25 @@ from functools import cached_property
 from itertools import chain, pairwise
 from operator import index
 
-from .errors import InvalidParameterError, ValidationError
+from .errors import ValidationError
 
 # Largest vertex count of a Graph or FamilySpec, checked before any per-vertex
 # allocation; about twice the largest family graph the acceptance tests build.
 MAX_VERTICES = 2**22
 
 
-def _integer(value, what: str, error: type[Exception]) -> int:
+def _integer(value, what: str) -> int:
     try:
         return index(value)
     except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _cycle_order(value) -> int:  # FamilySpec's rule, which min_path_order shares
+    m = _integer(value, "cycle order")
+    if m < 4 or m % 2:
+        raise ValidationError(f"cycle order must be an even integer >= 4, got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class Graph:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
             object.__setattr__(self, "edges", edges)
-        n = _integer(self.vertex_count, "vertex count", ValidationError)
+        n = _integer(self.vertex_count, "vertex count")
         object.__setattr__(self, "vertex_count", n)
         if n < 0:
             raise ValidationError("vertex count must be non-negative")
@@ -93,16 +100,14 @@ class FamilySpec:
     path_order: int
 
     def __post_init__(self):
-        m = _integer(self.cycle_order, "cycle order", InvalidParameterError)
-        n = _integer(self.path_order, "path order", InvalidParameterError)
-        object.__setattr__(self, "cycle_order", m)
+        m = _integer(self.cycle_order, "cycle order")
+        n = _integer(self.path_order, "path order")
+        object.__setattr__(self, "cycle_order", _cycle_order(m))
         object.__setattr__(self, "path_order", n)
-        if m < 4 or m % 2:
-            raise InvalidParameterError(f"cycle order must be an even integer >= 4, got {m}")
         if n < 2:
-            raise InvalidParameterError(f"path order must be at least 2, got {n}")
+            raise ValidationError(f"path order must be at least 2, got {n}")
         if m + n > MAX_VERTICES:
-            raise InvalidParameterError(f"cycle + path order must be <= {MAX_VERTICES}, got {m + n}")
+            raise ValidationError(f"cycle + path order must be <= {MAX_VERTICES}, got {m + n}")
 
     @property
     def edge_count(self) -> int:
@@ -111,17 +116,17 @@ class FamilySpec:
 
 def make_path(length: int) -> Graph:
     """Path on `length` vertices: edges (0,1), (1,2), ..., (length-2, length-1)."""
-    length = _integer(length, "path length", InvalidParameterError)
+    length = _integer(length, "path length")
     if length < 1:
-        raise InvalidParameterError(f"path needs at least one vertex, got {length}")
+        raise ValidationError(f"path needs at least one vertex, got {length}")
     return Graph(length, tuple(pairwise(range(length))))
 
 
 def make_cycle(length: int) -> Graph:
     """Cycle on `length` vertices: edges (i, i+1 mod length) in ring order."""
-    length = _integer(length, "cycle length", InvalidParameterError)
+    length = _integer(length, "cycle length")
     if length < 3:
-        raise InvalidParameterError(f"cycle needs at least three vertices, got {length}")
+        raise ValidationError(f"cycle needs at least three vertices, got {length}")
     return Graph(length, tuple((i, (i + 1) % length) for i in range(length)))
 
 

@@ -15,9 +15,9 @@ Report format (write, parse for labeling documents)
                          provides one, otherwise over the canonical payload
         kind             "labeling" | "verify-report" | "search-outcome"
     kind "labeling": family (null or {cycle_order, path_order}), edge_count,
-        labels (vertex-id order), weights (edge order), ok. When parsed back,
-        every number must be a JSON integer, ok a JSON boolean, weights must
-        hold edge_count entries and a family must have edge_count edges.
+        labels (vertex-id order), weights (edge order), ok. Weights must hold
+        edge_count entries and a family edge_count edges (ValidationError);
+        parsed back, numbers must be JSON integers and ok a JSON boolean.
     kind "verify-report": ok, violations (list of {kind, ...} objects using
         the tags from labeling.VIOLATION_KINDS).
     kind "search-outcome": verdict, nodes_explored, solutions_found, labels
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from ._version import __version__
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .graph import Graph
 from .labeling import (
     VIOLATION_KINDS,
@@ -97,15 +97,24 @@ def emit_edge_list(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class LabelingDocument:
-    """Self-describing record of one labeling: which family it came from (if
-    any), the labels in vertex-id order, the induced weights in edge order,
-    and the verifier verdict."""
+    """Self-describing record of one labeling: its family (if any), labels in
+    vertex-id order, induced weights in edge order and the verifier verdict.
+    Counts that contradict edge_count raise ValidationError."""
 
     family: tuple[int, int] | None
     edge_count: int
     labels: tuple[int, ...]
     weights: tuple[int, ...]
     ok: bool
+
+    def __post_init__(self):
+        q, family = self.edge_count, self.family
+        if len(self.weights) != q:
+            raise ValidationError(f"labeling document lists {len(self.weights)} weights for edge_count {q}")
+        if family is not None and sum(family) - 1 != q:
+            raise ValidationError(
+                f"labeling document family {family} has {sum(family) - 1} edges, edge_count is {q}"
+            )
 
 
 def build_labeling_document(
@@ -119,8 +128,8 @@ def build_labeling_document(
 
 
 def parse_labeling_document(text: str) -> LabelingDocument:
-    """Parse a labeling document that keeps the module docstring's rules, or
-    raise ParseError. Whether it fits a graph is the caller's to check."""
+    """Parse a labeling document: ParseError if the text is not one, ValidationError
+    if it contradicts itself. Whether it fits a graph is the caller's to check."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,12 +160,6 @@ def parse_labeling_document(text: str) -> LabelingDocument:
         )
     if type(ok) is not bool:
         raise ParseError("malformed labeling document: ok must be true or false")
-    if len(weights) != edge_count:
-        raise ParseError(f"labeling document lists {len(weights)} weights for edge_count {edge_count}")
-    if family is not None and sum(family) - 1 != edge_count:
-        raise ParseError(
-            f"labeling document family {family} has {sum(family) - 1} edges, edge_count is {edge_count}"
-        )
     return LabelingDocument(family, edge_count, tuple(labels), tuple(weights), ok)
 
 

@@ -94,7 +94,7 @@ class VerifyReport:
 
     def __post_init__(self):
         if self.ok != (not self.violations):
-            raise ValueError("ok flag inconsistent with violation list")
+            raise ValidationError("ok flag inconsistent with violation list")
 
 
 def induced_weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
@@ -127,7 +127,7 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     # miss is each label offered to index(), to name the first one it refuses.
     if not set(map(type, labels)) <= {int}:
         for v, x in enumerate(labels):
-            _integer(x, f"label of vertex {v}", ValidationError)
+            _integer(x, f"label of vertex {v}")
     weights = induced_weights(g, labeling)
     ok, label_scan, weight_scan = _verdict(labels, weights)
     if ok:

@@ -30,7 +30,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import ValidationError
 from .graph import Graph, _integer
 from .labeling import Labeling
 
@@ -44,7 +44,7 @@ class SearchVerdict(enum.Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     """node_budget caps backtrack nodes (None = run to exhaustion; a budget
-    that is negative or not an integer raises InvalidParameterError);
+    that is negative or not an integer raises ValidationError);
     find_all counts every solution instead of stopping at the first."""
 
     node_budget: int | None = None
@@ -52,9 +52,9 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.node_budget is not None:
-            budget = _integer(self.node_budget, "node budget", InvalidParameterError)
+            budget = _integer(self.node_budget, "node budget")
             if budget < 0:
-                raise InvalidParameterError(f"node budget must be non-negative, got {budget}")
+                raise ValidationError(f"node budget must be non-negative, got {budget}")
             object.__setattr__(self, "node_budget", budget)
 
 

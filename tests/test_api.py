@@ -6,6 +6,8 @@ import importlib
 import pytest
 
 import oddgraceful
+from oddgraceful import ParseError, ValidationError
+from oddgraceful.labeling import DuplicateVertexLabel
 
 PUBLIC_NAMES = [
     "BoundPolicy",
@@ -15,7 +17,6 @@ PUBLIC_NAMES = [
     "EdgeWeightSetMismatch",
     "FamilySpec",
     "Graph",
-    "InvalidParameterError",
     "Labeling",
     "LabelingDocument",
     "OddGracefulError",
@@ -94,3 +95,38 @@ def test_search_config_fields_are_the_ones_the_benchmark_sets():
 def test_search_config_parity_precheck_is_gone():
     with pytest.raises(TypeError, match="parity_precheck"):
         oddgraceful.SearchConfig(**{"parity_precheck": False})
+
+
+ONE_WEIGHT_FOR_TWO_EDGES = (
+    '{"kind": "labeling", "family": null, "edge_count": 2, "labels": [0, 1, 2], '
+    '"weights": [1], "ok": true}'
+)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: oddgraceful.Graph(2.5), ValidationError),
+        (lambda: oddgraceful.make_path(2.5), ValidationError),
+        (lambda: oddgraceful.FamilySpec(4.0, 3), ValidationError),
+        (lambda: oddgraceful.SearchConfig(node_budget=2.5), ValidationError),
+        (lambda: oddgraceful.Graph(2**22 + 1), ValidationError),
+        (lambda: oddgraceful.FamilySpec(4, 2**22), ValidationError),
+        (lambda: oddgraceful.parse_edge_list("graph 2\n0 5\n"), ValidationError),
+        (lambda: oddgraceful.parse_labeling_document(ONE_WEIGHT_FOR_TWO_EDGES), ValidationError),
+        (lambda: oddgraceful.VerifyReport(True, (DuplicateVertexLabel(0, (0, 1)),)), ValidationError),
+        (lambda: oddgraceful.parse_labeling_document('{"kind": '), ParseError),
+        (lambda: oddgraceful.parse_edge_list("graph x\n"), ParseError),
+    ],
+    ids=[
+        "graph-non-integer", "path-non-integer", "family-non-integer", "budget-non-integer",
+        "graph-vertex-bound", "family-vertex-bound", "edge-past-header", "document-counts",
+        "verify-report-ok-flag", "malformed-json", "malformed-header",
+    ],
+)
+def test_one_error_type_per_rule(call, error):
+    # A value that breaks a rule raises ValidationError, whichever constructor
+    # checks it; a text that is not in its format raises ParseError.
+    with pytest.raises(oddgraceful.OddGracefulError) as exc_info:
+        call()
+    assert type(exc_info.value) is error

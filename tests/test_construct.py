@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from oddgraceful import (
     DuplicateEdgeWeight,
     FamilySpec,
-    InvalidParameterError,
     Labeling,
+    ValidationError,
     induced_weights,
     label_algorithmic,
     label_closed_form,
@@ -78,7 +78,9 @@ def reference_small_cycle_labels(m, n):
 
 @pytest.mark.parametrize(
     "m, expected",
-    [(4, 3), (6, 3), (8, 7), (10, 7), (12, 11), (14, 11), (16, 15), (20, 19), (22, 19)],
+    # 2**23 is past FamilySpec's vertex bound, which min_path_order does not apply.
+    [(4, 3), (6, 3), (8, 7), (10, 7), (12, 11), (14, 11), (16, 15), (20, 19), (22, 19),
+     (2**23, 2**23 - 1)],
 )
 def test_min_path_order(m, expected):
     assert min_path_order(m) == expected
@@ -86,7 +88,7 @@ def test_min_path_order(m, expected):
 
 @pytest.mark.parametrize("m", [3, 2, 0, -4, 7, 8.0, "8"])
 def test_min_path_order_rejects_bad_cycles(m):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValidationError):
         min_path_order(m)
 
 
@@ -124,7 +126,7 @@ def test_six_cycle_even_index_variant_agrees_only_at_two():
 def test_enforce_rejects_below_minimum_and_names_it(construct):
     # Both forms reject the same fault the same way, as label_short_path does
     # for n > m: one error type, naming the minimum and the form that covers it.
-    with pytest.raises(InvalidParameterError) as exc_info:
+    with pytest.raises(ValidationError) as exc_info:
         construct(FamilySpec(8, 6))
     assert "minimum 7" in str(exc_info.value)
     assert "label_short_path" in str(exc_info.value)
@@ -154,7 +156,7 @@ def test_short_path_covers_every_path_up_to_the_cycle_order():
             report = verify_odd_graceful(make_union(spec), label_short_path(spec))
             assert report.ok, ((m, n), report.violations)
         # One past the cycle order the path's label m meets the cycle's.
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ValidationError):
             label_short_path(FamilySpec(m, m + 1))
 
 

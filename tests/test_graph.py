@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oddgraceful import (
     FamilySpec,
     Graph,
-    InvalidParameterError,
     ValidationError,
     make_cycle,
     make_path,
@@ -36,7 +35,7 @@ def test_make_path_five():
 @pytest.mark.parametrize("length", [0, 2.0, "2"])
 def test_make_path_rejects_zero(length):
     # A float or a string length raises the package's error, as a short one does.
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValidationError):
         make_path(length)
 
 
@@ -53,7 +52,7 @@ def test_make_cycle_counts(length):
 
 @pytest.mark.parametrize("length", [2, 4.0, "4"])
 def test_make_cycle_rejects_small(length):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValidationError):
         make_cycle(length)
 
 
@@ -101,7 +100,7 @@ def test_union_edge_count_formula(m, n):
     "m, n", [(3, 5), (2, 5), (7, 4), (4, 1), (4, 0), (4.0, 3), (4, 3.0), ("4", 3), (4, 2.5)]
 )
 def test_family_spec_rejects_bad_orders(m, n):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValidationError):
         FamilySpec(m, n)
 
 
@@ -114,7 +113,7 @@ def test_family_spec_vertex_bound():
     # Only specs are built here, never their graphs.
     assert FamilySpec(4, MAX_VERTICES - 4).edge_count == MAX_VERTICES - 1
     for m, n in [(4, MAX_VERTICES - 3), (4, 10**12), (10**12, 2)]:
-        with pytest.raises(InvalidParameterError, match=f"must be <= {MAX_VERTICES}"):
+        with pytest.raises(ValidationError, match=f"must be <= {MAX_VERTICES}"):
             FamilySpec(m, n)
 
 

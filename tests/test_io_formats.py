@@ -283,16 +283,35 @@ U43_DOCUMENT = {
 )
 def test_parse_labeling_document_rejects_self_contradiction(changes, message):
     # The parser, not only the CLI, refuses a document that contradicts
-    # itself; the messages carry no line number.
+    # itself. The text is in its format, so the error is ValidationError,
+    # raised by LabelingDocument, not ParseError.
     text = json.dumps({**U43_DOCUMENT, **changes})
     if message is None:
         doc = parse_labeling_document(text)
         assert (doc.family, doc.edge_count, len(doc.weights)) == ((4, 3), 6, 6)
         return
-    with pytest.raises(ParseError) as exc_info:
+    with pytest.raises(ValidationError) as exc_info:
         parse_labeling_document(text)
     assert str(exc_info.value) == message
-    assert exc_info.value.line is None
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabelingDocument(None, 5, (0, 1), (1,), True),
+         "labeling document lists 1 weights for edge_count 5"),
+        (lambda: build_labeling_document(make_path(2), Labeling((0, 1)), True, family=(4, 3)),
+         "labeling document family (4, 3) has 6 edges, edge_count is 1"),
+    ],
+    ids=["weights", "family"],
+)
+def test_labeling_document_refuses_self_contradiction(build, message):
+    # Every builder, not only the parser, is refused a document whose counts
+    # disagree, so no report is written that parse_labeling_document (and so
+    # verify and dot) would then refuse.
+    with pytest.raises(ValidationError) as exc_info:
+        build()
+    assert str(exc_info.value) == message
 
 
 def test_parse_labeling_document_reports_json_line():
@@ -477,14 +496,16 @@ arrays = st.one_of(
 pairs = st.tuples(st.integers(), st.integers())
 small_ints = st.integers(-3, 40)
 
-labeling_documents = st.builds(
-    LabelingDocument,
-    family=st.none() | pairs,
-    edge_count=st.integers(),
-    labels=arrays,
-    weights=arrays,
-    ok=st.booleans(),
-)
+
+@st.composite
+def labeling_documents(draw):
+    # LabelingDocument refuses counts that contradict each other, so
+    # edge_count is the number of weights and a family has that many edges.
+    weights = draw(arrays)
+    family = draw(st.none() | st.integers().map(lambda m: (m, len(weights) + 1 - m)))
+    return LabelingDocument(family, len(weights), draw(arrays), weights, draw(st.booleans()))
+
+
 violations = st.one_of(
     st.builds(DuplicateVertexLabel, small_ints, st.lists(small_ints, max_size=4).map(tuple)),
     st.builds(VertexLabelOutOfRange, small_ints, st.integers()),
@@ -511,10 +532,10 @@ search_outcomes = st.builds(
 
 @settings(max_examples=300)
 @given(
-    st.one_of(labeling_documents, verify_reports, search_outcomes),
+    st.one_of(labeling_documents(), verify_reports, search_outcomes),
     st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
 )
-@example(LabelingDocument((4, 3), 6, ("a,b",), ([1, 2], [3]), True), None)
+@example(LabelingDocument((4, 3), 6, ("a,b",), ([1, 2], [3], [], [4], [5, 6], [7]), True), None)
 def test_emit_report_matches_reference_encoder(payload, source_text):
     assert emit_report(payload, source_text) == reference_report(payload, source_text)
 

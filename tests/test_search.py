@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from oddgraceful import (
     FamilySpec,
     Graph,
-    InvalidParameterError,
     Labeling,
     SearchConfig,
     SearchVerdict,
+    ValidationError,
     complement_labeling,
     make_cycle,
     make_path,
@@ -156,7 +156,7 @@ def test_budget_exceeded_on_tiny_budget():
     ids=["negative", "float", "string"],
 )
 def test_negative_budget_is_rejected(budget, message):
-    with pytest.raises(InvalidParameterError, match=message):
+    with pytest.raises(ValidationError, match=message):
         SearchConfig(node_budget=budget)
 
 
