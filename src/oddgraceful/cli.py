@@ -147,7 +147,7 @@ def _cmd_verify(args) -> int:
     report = verify_odd_graceful(g, labeling)
     # Free the graph and labels before the report is laid out.
     del g, labeling
-    _write(args, _report_parts(report, source_text=graph_text + labeling_text))
+    _write(args, _report_parts(report, graph_text, labeling_text))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -161,7 +161,7 @@ def _cmd_search(args) -> int:
         # stays the verdict.
         _write(args, (emit_dot(g, outcome.labeling),))
     else:
-        _write(args, _report_parts(outcome, source_text=graph_text))
+        _write(args, _report_parts(outcome, graph_text))
     return {
         SearchVerdict.FOUND: EXIT_OK,
         SearchVerdict.EXHAUSTED_NOT_FOUND: EXIT_NOT_FOUND,

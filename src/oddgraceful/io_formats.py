@@ -168,35 +168,34 @@ def emit_report(
     source_text: str | None = None,
 ) -> str:
     """Serialize a report; byte-stable for equal inputs within a release."""
-    return "".join(_report_parts(payload, source_text))
+    return "".join(_report_parts(payload, *(() if source_text is None else (source_text,))))
 
 
-def _report_parts(
-    payload: VerifyReport | SearchOutcome | LabelingDocument,
-    source_text: str | None = None,
-) -> list[str]:
+def _report_parts(payload, *sources: str) -> list[str]:
     """The report text as a list of parts, in order; emit_report joins them.
 
     Each body value is encoded once, as its compact text
     json.dumps(value, sort_keys=True, separators=(",", ":")), and laid out
-    from it. Without source_text, input_digest is the SHA-256 of the compact
-    body, hashed one top-level value at a time, never held whole.
+    from it. input_digest is the SHA-256 of the source texts fed in turn,
+    which equals that of their concatenation, so none is joined to another.
+    Without sources it is that of the compact body, hashed one top-level
+    value at a time, never held whole.
     """
     body = _payload_body(payload)
     digest = hashlib.sha256()
-    if source_text is not None:
-        digest.update(source_text.encode())
+    for text in sources:
+        digest.update(text.encode())
     texts = {}
     separator = "{"
     for key in sorted(body):
         compact = json.dumps(body[key], sort_keys=True, separators=(",", ":"))
-        if source_text is None:
+        if not sources:
             digest.update(f"{separator}{json.dumps(key)}:".encode())
             digest.update(compact.encode())
             separator = ","
         texts[key] = _indented(body[key], compact)
         del compact  # freed before the next value is encoded
-    if source_text is None:
+    if not sources:
         digest.update(b"}")
     # The envelope values are scalars, whose indented text is their JSON text.
     texts["report_version"] = (json.dumps(REPORT_VERSION),)

@@ -87,14 +87,13 @@ VIOLATION_KINDS = {
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Verdict plus the full list of violations; ok is true iff the list is empty."""
+    """The full list of violations; the labeling passes iff it is empty."""
 
-    ok: bool
     violations: tuple[Violation, ...]
 
-    def __post_init__(self):
-        if self.ok != (not self.violations):
-            raise ValidationError("ok flag inconsistent with violation list")
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def induced_weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
@@ -124,14 +123,15 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     """
     labels = _total_labels(g.vertex_count, labeling)
     # type() rather than isinstance(): bool is a subclass of int. Only on a
-    # miss is each label offered to index(), to name the first one it refuses.
+    # miss is each label offered to index(), which names the first one it
+    # refuses and turns the rest, bools included, into ints for the report.
     if not set(map(type, labels)) <= {int}:
-        for v, x in enumerate(labels):
-            _integer(x, f"label of vertex {v}")
+        labels = tuple([_integer(x, f"label of vertex {v}") for v, x in enumerate(labels)])
+        labeling = Labeling(labels)
     weights = induced_weights(g, labeling)
     ok, label_scan, weight_scan = _verdict(labels, weights)
     if ok:
-        return VerifyReport(True, ())
+        return VerifyReport(())
 
     _, label_repeats, label_outside = label_scan
     weight_marks, weight_repeats, weight_outside = weight_scan
@@ -152,7 +152,7 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
 
     # The verdict failed, so something must have been found.
     assert violations
-    return VerifyReport(False, tuple(violations))
+    return VerifyReport(tuple(violations))
 
 
 def _verdict(labels, weights) -> tuple[bool, tuple, tuple]:

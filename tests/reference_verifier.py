@@ -55,4 +55,4 @@ def reference_verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     if missing or extra:
         violations.append(EdgeWeightSetMismatch(missing, extra))
 
-    return VerifyReport(not violations, tuple(violations))
+    return VerifyReport(tuple(violations))

@@ -7,7 +7,6 @@ import pytest
 
 import oddgraceful
 from oddgraceful import ParseError, ValidationError
-from oddgraceful.labeling import DuplicateVertexLabel
 
 PUBLIC_NAMES = [
     "BoundPolicy",
@@ -114,14 +113,13 @@ ONE_WEIGHT_FOR_TWO_EDGES = (
         (lambda: oddgraceful.FamilySpec(4, 2**22), ValidationError),
         (lambda: oddgraceful.parse_edge_list("graph 2\n0 5\n"), ValidationError),
         (lambda: oddgraceful.parse_labeling_document(ONE_WEIGHT_FOR_TWO_EDGES), ValidationError),
-        (lambda: oddgraceful.VerifyReport(True, (DuplicateVertexLabel(0, (0, 1)),)), ValidationError),
         (lambda: oddgraceful.parse_labeling_document('{"kind": '), ParseError),
         (lambda: oddgraceful.parse_edge_list("graph x\n"), ParseError),
     ],
     ids=[
         "graph-non-integer", "path-non-integer", "family-non-integer", "budget-non-integer",
         "graph-vertex-bound", "family-vertex-bound", "edge-past-header", "document-counts",
-        "verify-report-ok-flag", "malformed-json", "malformed-header",
+        "malformed-json", "malformed-header",
     ],
 )
 def test_one_error_type_per_rule(call, error):

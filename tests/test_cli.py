@@ -47,6 +47,28 @@ def write_graph(tmp_path, g, name="graph.txt"):
     return str(path)
 
 
+# Digests of the label-200k benchmark reports, which both methods write.
+SHA256_40_199961 = "289e85898ed08f3c1bb55aa5c5bff12847602c97612c27956c4a46d9d67255ca"
+SHA256_42_199959 = "886f3525571b07c3fe0542bd82d99c3531b6173fa4c21e047e2e74398cf549a0"
+
+
+def pinned_sha256(report):
+    """SHA-256 of a label report with tool_version set back to 0.2.0, the
+    version whose reports the pins were taken from."""
+    line = f'\n  "tool_version": "{oddgraceful.__version__}",\n'
+    assert report.count(line) == 1
+    report = report.replace(line, '\n  "tool_version": "0.2.0",\n')
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+def swap_opposite_parity(labels, a, start):
+    """Swap the label of path vertex a with that of the first interior path
+    vertex from start on whose label has the other parity. With start past
+    a + 1 the two share no edge, so four edge weights turn even."""
+    b = next(v for v in range(start, len(labels) - 1) if (labels[v] - labels[a]) % 2)
+    labels[a], labels[b] = labels[b], labels[a]
+
+
 def test_label_valid_instance(capsys):
     code, out, _ = run_cli(capsys, "label", "--cycle", "8", "--path", "7")
     assert code == 0
@@ -66,15 +88,12 @@ def test_label_valid_instance(capsys):
             ("--cycle", "42", "--path", "1000", "--method", "algo"),
             "b4729a548ce02565ea49bbe585e44aff819c59b613091639c51b621ef96d5a22",
         ),
-        # The label-200k benchmark sizes.
-        (
-            ("--cycle", "40", "--path", "199961"),
-            "289e85898ed08f3c1bb55aa5c5bff12847602c97612c27956c4a46d9d67255ca",
-        ),
-        (
-            ("--cycle", "42", "--path", "199959", "--method", "algo"),
-            "886f3525571b07c3fe0542bd82d99c3531b6173fa4c21e047e2e74398cf549a0",
-        ),
+        # The four label-200k benchmark invocations: cycle 42 is the other
+        # residue of m mod 4.
+        (("--cycle", "40", "--path", "199961"), SHA256_40_199961),
+        (("--cycle", "42", "--path", "199959", "--method", "algo"), SHA256_42_199959),
+        (("--cycle", "40", "--path", "199961", "--method", "algo"), SHA256_40_199961),
+        (("--cycle", "42", "--path", "199959"), SHA256_42_199959),
     ],
 )
 def test_label_report_bytes_pinned(capsys, argv, sha256):
@@ -82,10 +101,7 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
     # back to 0.2.0, no other byte may differ.
     code, out, _ = run_cli(capsys, "label", *argv)
     assert code == 0
-    line = f'\n  "tool_version": "{oddgraceful.__version__}",\n'
-    assert out.count(line) == 1
-    out = out.replace(line, '\n  "tool_version": "0.2.0",\n')
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert pinned_sha256(out) == sha256
 
 
 def test_label_peak_memory(tmp_path):
@@ -122,6 +138,8 @@ def test_label_200k_peak_memory(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 23.5 * 2**20
+    # The --out file holds the bytes pinned for stdout.
+    assert pinned_sha256(Path(out).read_bytes().decode()) == SHA256_40_199961
 
 
 def test_label_builds_no_graph(capsys, monkeypatch):
@@ -175,20 +193,16 @@ def test_verify_failing_peak_memory(tmp_path):
     assert main(["label", "--cycle", "40", "--path", "19961", "--out", str(tmp_path / "l.json")]) == 0
     doc = json.loads((tmp_path / "l.json").read_text())
     good_text = json.dumps(doc)
-    labels = doc["labels"]
-    a = 40 + 5_000
-    b = next(v for v in range(40 + 12_000, len(labels) - 1) if (labels[v] - labels[a]) % 2)
-    labels[a], labels[b] = labels[b], labels[a]
+    swap_opposite_parity(doc["labels"], 40 + 5_000, 40 + 12_000)
     bad_text = json.dumps(doc)
     g = parse_edge_list(graph_text)
     peaks = []
     for labeling_text, ok in ((good_text, True), (bad_text, False)):
         labeling = Labeling(parse_labeling_document(labeling_text).labels)
-        source_text = graph_text + labeling_text
         tracemalloc.start()
         try:
             report = verify_odd_graceful(g, labeling)
-            parts = _report_parts(report, source_text=source_text)
+            parts = _report_parts(report, graph_text, labeling_text)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -248,7 +262,8 @@ def test_label_dot_format(capsys):
 
 @pytest.mark.parametrize(
     "cycle, path, method",
-    [("8", "7", "closed"), ("42", "1000", "algo"), ("12", "6", "closed")],  # last: short path
+    # (12, 6) takes the short-path form; (40, 199961) is the label-200k size.
+    [("8", "7", "closed"), ("42", "1000", "algo"), ("12", "6", "closed"), ("40", "199961", "closed")],
 )
 def test_label_dot_equals_dot_of_its_report(tmp_path, capsys, cycle, path, method):
     # label's own DOT output and its report's labels drawn on the parsed edge
@@ -273,25 +288,43 @@ def test_label_out_writes_file(tmp_path, capsys):
 
 
 def test_verify_round_trip(tmp_path, capsys):
-    labeling_file = tmp_path / "labeling.json"
-    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(labeling_file))
-    graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
-    code, out, _ = run_cli(capsys, "verify", graph_file, str(labeling_file))
-    assert code == 0
-    assert json.loads(out)["ok"] is True
+    # label's file passes verify against make_union's edge list, small and at
+    # the benchmark size.
+    for spec in (FamilySpec(4, 3), FamilySpec(40, 199_961)):
+        files = write_union_files(tmp_path, capsys, spec)
+        code, out, _ = run_cli(capsys, "verify", str(files["graph"]), str(files["labeling"]))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
 
 def test_verify_detects_corruption(tmp_path, capsys):
-    labeling_file = tmp_path / "labeling.json"
-    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(labeling_file))
-    doc = json.loads(labeling_file.read_text())
-    doc["labels"][0] = doc["labels"][1]  # force a duplicate
-    labeling_file.write_text(json.dumps(doc))
-    graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
-    code, out, _ = run_cli(capsys, "verify", graph_file, str(labeling_file))
-    assert code == 1
-    kinds = [v["kind"] for v in json.loads(out)["violations"]]
-    assert "duplicate-vertex-label" in kinds
+    # A label copied onto its neighbour, and at the benchmark size two path
+    # labels of opposite parity swapped.
+    def copy_label(labels):
+        labels[0] = labels[1]
+
+    def swap_labels(labels):
+        swap_opposite_parity(labels, 40 + 50_000, 40 + 120_000)
+
+    for spec, corrupt, kind in [
+        (FamilySpec(4, 3), copy_label, "duplicate-vertex-label"),
+        (FamilySpec(40, 199_961), swap_labels, "edge-weight-even"),
+    ]:
+        files = write_union_files(tmp_path, capsys, spec)
+        doc = json.loads(files["labeling"].read_text())
+        corrupt(doc["labels"])
+        files["labeling"].write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(files["graph"]), str(files["labeling"]))
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert kind in [v["kind"] for v in report["violations"]]
+    # The first cycle edge again, reversed, at the end of the benchmark-size
+    # graph file: the duplicate probe must find it.
+    with files["graph"].open("a") as f:
+        f.write("1 0\n")
+    code, out, err = run_cli(capsys, "verify", str(files["graph"]), str(files["labeling"]))
+    assert (code, out, err) == (64, "", "error: duplicate edge (1, 0)\n")
 
 
 def test_verify_parse_error_names_line(tmp_path, capsys):
@@ -447,7 +480,9 @@ def test_search_odd_cycle_exits_two(tmp_path, capsys):
     graph_file = write_graph(tmp_path, make_cycle(5))
     code, out, _ = run_cli(capsys, "search", graph_file)
     assert code == 2
-    assert json.loads(out)["verdict"] == "exhausted-not-found"
+    doc = json.loads(out)
+    assert doc["verdict"] == "exhausted-not-found"
+    assert sorted(doc["odd_cycle_witness"]) == [0, 1, 2, 3, 4]
 
 
 def test_search_even_cycle_exits_zero(tmp_path, capsys):
@@ -489,9 +524,8 @@ def test_search_all_reports_even_count(tmp_path, capsys):
     graph_file = write_graph(tmp_path, make_union(FamilySpec(4, 3)))
     code, out, _ = run_cli(capsys, "search", graph_file, "--all")
     assert code == 0
-    count = json.loads(out)["solutions_found"]
-    assert count > 0
-    assert count % 2 == 0
+    doc = json.loads(out)
+    assert (doc["solutions_found"], doc["nodes_explored"]) == (960, 10440)
 
 
 def test_search_dot_without_labeling_keeps_verdict(tmp_path, capsys):
@@ -587,11 +621,12 @@ def test_format_flag_of_label_verify_search(tmp_path, capsys, command):
     assert dot.startswith("graph G {")
 
 
-def write_u43_files(tmp_path, capsys):
-    """union(4, 3)'s edge list and label's document for it, by file kind."""
+def write_union_files(tmp_path, capsys, spec=FamilySpec(4, 3)):
+    """make_union(spec)'s edge list and label's document for it, by file kind."""
     files = {"graph": tmp_path / "graph.txt", "labeling": tmp_path / "labeling.json"}
-    run_cli(capsys, "label", "--cycle", "4", "--path", "3", "--out", str(files["labeling"]))
-    files["graph"].write_text(emit_edge_list(make_union(FamilySpec(4, 3))))
+    argv = ["--cycle", str(spec.cycle_order), "--path", str(spec.path_order)]
+    assert run_cli(capsys, "label", *argv, "--out", str(files["labeling"]))[0] == 0
+    files["graph"].write_text(emit_edge_list(make_union(spec)))
     return files
 
 
@@ -607,7 +642,7 @@ def write_u43_files(tmp_path, capsys):
     ids=["verify-graph", "verify-labeling", "search", "dot", "dot-labeling"],
 )
 def test_non_utf8_input_exits_usage(tmp_path, capsys, bad, command):
-    files = write_u43_files(tmp_path, capsys)
+    files = write_union_files(tmp_path, capsys)
     files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
     code, out, err = run_cli(capsys, *[arg.format(**files) for arg in command])
     assert code == 64
@@ -627,7 +662,7 @@ def test_non_utf8_input_exits_usage(tmp_path, capsys, bad, command):
 def test_empty_path_exits_usage(tmp_path, capsys, argv):
     # An empty path names no file; it must not fall back to stdout or to no
     # labeling.
-    files = write_u43_files(tmp_path, capsys)
+    files = write_union_files(tmp_path, capsys)
     code, out, err = run_cli(capsys, *[arg.format(**files) for arg in argv])
     assert code == 64
     assert out == ""

@@ -518,7 +518,7 @@ violations = st.one_of(
     ),
 )
 verify_reports = st.lists(violations, max_size=5).map(
-    lambda vs: VerifyReport(not vs, tuple(vs))
+    lambda vs: VerifyReport(tuple(vs))
 )
 search_outcomes = st.builds(
     SearchOutcome,

@@ -15,6 +15,7 @@ from oddgraceful import (
     ValidationError,
     VertexLabelOutOfRange,
     complement_labeling,
+    emit_report,
     induced_weights,
     label_algorithmic,
     label_closed_form,
@@ -75,8 +76,11 @@ def test_verify_rejects_non_integer_label(bad):
 
 
 def test_verify_accepts_bool_labels():
-    # bool fails the type() pass, so it reaches index(), which takes it.
+    # bool fails the type() pass, so it reaches index(), which takes it and
+    # gives the int that a failing report names.
     assert verify_odd_graceful(make_path(2), Labeling((False, True))).ok
+    report = verify_odd_graceful(make_path(2), Labeling((True, True)))
+    assert '"label": 1,' in emit_report(report)
 
 
 @st.composite
@@ -194,12 +198,11 @@ def test_verifier_is_pure():
 
 
 def test_report_consistency_enforced():
+    # ok is derived from the violations, so the two cannot disagree.
     from oddgraceful import VerifyReport
 
-    with pytest.raises(ValueError):
-        VerifyReport(True, (DuplicateVertexLabel(0, (0, 1)),))
-    with pytest.raises(ValueError):
-        VerifyReport(False, ())
+    assert VerifyReport((DuplicateVertexLabel(0, (0, 1)),)).ok is False
+    assert VerifyReport(()).ok is True
 
 
 @settings(max_examples=60)
