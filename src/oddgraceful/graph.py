@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, pairwise
-from operator import index
+from itertools import chain, repeat
+from operator import add, index, itemgetter, mul, ne, sub
 
 from .errors import ValidationError
 
@@ -28,63 +30,107 @@ def _cycle_order(value) -> int:  # FamilySpec's rule, which min_path_order share
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """Undirected simple graph over vertex ids 0..vertex_count-1.
 
     Edges keep their construction order and endpoint orientation, so equality
-    between graphs is exact. Instances never mutate after construction and can
-    be shared freely between threads or processes.
+    between graphs is exact. They are stored as two array('q') endpoint
+    columns, _tails and _heads; `edges`, the tuple of (tail, head) int pairs,
+    is built from them on first use and cached. Instances never mutate after
+    construction and can be shared freely between threads or processes.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...] = ()
+    _tails: array
+    _heads: array
 
-    def __post_init__(self):
-        edges = self.edges
-        # A tuple of int 2-tuples is kept as given; anything else (lists, bools,
-        # other __index__ ints) is rebuilt. type() rather than isinstance():
-        # bool is a subclass of int. index() refuses floats and strings.
-        if not (
-            type(edges) is tuple
-            and set(map(type, edges)) <= {tuple}
-            and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {int}
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        # index() refuses floats and strings, and turns bools and other
+        # __index__ ints into the int they stand for.
+        try:
+            pairs = [(index(a), index(b)) for a, b in edges]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
+        n = _vertex_count(vertex_count)
+        try:
+            tails = array("q", map(itemgetter(0), pairs))
+            heads = array("q", map(itemgetter(1), pairs))
+        except OverflowError:  # an id past 64 bits is outside 0..n-1 for every allowed n
+            raise _first_fault(n, pairs) from None
+        self._adopt(n, tails, heads)
+
+    def _adopt(self, n: int, tails: array, heads: array) -> None:
+        """Check the columns by C-level passes and take them as this graph's
+        edges; only on a fault does the per-edge loop run, to name the first.
+        The keys (a + b)*n + |a - b| ignore orientation and are unique once
+        both ends are in range; their set is freed as soon as it is counted."""
+        if tails and (
+            min(tails) < 0 or min(heads) < 0 or max(tails) >= n or max(heads) >= n
+            or not all(map(ne, tails, heads))
+            or len(set(map(add, map(mul, map(add, tails, heads), repeat(n)),
+                           map(abs, map(sub, tails, heads))))) < len(tails)
         ):
-            try:
-                edges = tuple((index(a), index(b)) for a, b in edges)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
-            object.__setattr__(self, "edges", edges)
-        n = _integer(self.vertex_count, "vertex count")
+            raise _first_fault(n, zip(tails, heads))
         object.__setattr__(self, "vertex_count", n)
-        if n < 0:
-            raise ValidationError("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise ValidationError(f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
-        seen: set[tuple[int, int]] = set()  # the graph's own edge tuples, no new keys
-        for edge in edges:
-            a, b = edge
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
-            if a == b:
-                raise ValidationError(f"self-loop at vertex {a}")
-            # The reversed probe is a temporary, freed at once.
-            if edge in seen or (b, a) in seen:
-                raise ValidationError(f"duplicate edge ({a}, {b})")
-            seen.add(edge)
+        object.__setattr__(self, "_tails", tails)
+        object.__setattr__(self, "_heads", heads)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self._tails.tobytes(), self._heads.tobytes()))
+
+    def __repr__(self):
+        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._tails)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self._tails, self._heads))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for a, b in self.edges:
+        for a, b in zip(self._tails, self._heads):
             nbrs[a].append(b)
             nbrs[b].append(a)
         return tuple(tuple(ns) for ns in nbrs)
+
+
+def _graph(vertex_count: int, tails: array, heads: array) -> Graph:
+    """The Graph with these endpoint columns, validated like any other; the
+    edge-list parser and the builders hand their arrays over uncopied."""
+    g = Graph.__new__(Graph)
+    g._adopt(_vertex_count(vertex_count), tails, heads)
+    return g
+
+
+def _vertex_count(value) -> int:
+    n = _integer(value, "vertex count")
+    if n < 0:
+        raise ValidationError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValidationError(f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
+    return n
+
+
+def _first_fault(n: int, edges) -> ValidationError:
+    """The error for the first edge that is out of range, a self-loop or a
+    repeat in either orientation; called only when the edges hold one."""
+    seen: set[tuple[int, int]] = set()
+    for edge in edges:
+        a, b = edge
+        if not (0 <= a < n and 0 <= b < n):
+            return ValidationError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
+        if a == b:
+            return ValidationError(f"self-loop at vertex {a}")
+        # The reversed probe is a temporary, freed at once.
+        if edge in seen or (b, a) in seen:
+            return ValidationError(f"duplicate edge ({a}, {b})")
+        seen.add(edge)
+    raise AssertionError("no faulty edge among edges that failed a check")
 
 
 @dataclass(frozen=True)
@@ -119,7 +165,7 @@ def make_path(length: int) -> Graph:
     length = _integer(length, "path length")
     if length < 1:
         raise ValidationError(f"path needs at least one vertex, got {length}")
-    return Graph(length, tuple(pairwise(range(length))))
+    return _graph(length, array("q", range(length - 1)), array("q", range(1, length)))
 
 
 def make_cycle(length: int) -> Graph:
@@ -127,7 +173,7 @@ def make_cycle(length: int) -> Graph:
     length = _integer(length, "cycle length")
     if length < 3:
         raise ValidationError(f"cycle needs at least three vertices, got {length}")
-    return Graph(length, tuple((i, (i + 1) % length) for i in range(length)))
+    return _graph(length, array("q", range(length)), array("q", chain(range(1, length), (0,))))
 
 
 def make_union(spec: FamilySpec) -> Graph:
@@ -135,11 +181,12 @@ def make_union(spec: FamilySpec) -> Graph:
     path vertices follow as ids cycle_order..cycle_order+path_order-1.
 
     Cycle edges come first in the edge list, then path edges, so edge-indexed
-    reports line up with the construction order. labeling._family_weights
-    mirrors this edge order from the labels alone, and
-    test_family_weights_match_the_graph checks that the two agree. The graph
-    is validated like any other.
+    reports line up with the construction order: edge i has tail i, and its
+    head is i + 1 but for the cycle's closing edge, whose head is 0.
+    labeling._family_weights mirrors this edge order from the labels alone,
+    and test_family_weights_match_the_graph checks that the two agree. The
+    graph is validated like any other.
     """
     m, n = spec.cycle_order, spec.path_order
-    cycle = ((i, (i + 1) % m) for i in range(m))
-    return Graph(m + n, tuple(chain(cycle, pairwise(range(m, m + n)))))
+    heads = array("q", chain(range(1, m), (0,), range(m + 1, m + n)))
+    return _graph(m + n, array("q", range(m + n - 1)), heads)

@@ -6,6 +6,9 @@ Edge-list format (read and write)
     '#' starts a comment running to end of line; blank lines are ignored.
     Without the header, vertex_count defaults to 1 + the largest id used.
     A vertex count above graph.MAX_VERTICES (2**22) raises ValidationError.
+    The endpoints go straight into the graph's two array('q') columns; an id
+    past their 64 bits fails like any id out of range, or, without the
+    header, as a vertex count past the bound.
 
 Report format (write, parse for labeling documents)
     JSON object with a fixed envelope and a kind-specific payload:
@@ -37,12 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 from ._version import __version__
 from .errors import ParseError, ValidationError
-from .graph import Graph
+from .graph import Graph, _graph
 from .labeling import (
     VIOLATION_KINDS,
     Labeling,
@@ -57,16 +61,17 @@ REPORT_VERSION = 2
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; malformed lines raise ParseError with the
     line number, structural problems (self-loops, duplicates, ids beyond the
-    declared vertex count) raise ValidationError."""
+    declared vertex count) raise ValidationError. The endpoints are appended
+    to the graph's tails and heads columns; no pair is built per edge."""
     vertex_count: int | None = None
-    edges: list[tuple[int, int]] = []
+    tails, heads = array("q"), array("q")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "graph":
-            if vertex_count is not None or edges:
+            if vertex_count is not None or tails:
                 raise ParseError("header must be the first content line", line_no)
             if len(parts) != 2:
                 raise ParseError("header form is 'graph <vertex_count>'", line_no)
@@ -78,18 +83,26 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected two endpoints, got {line!r}", line_no)
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"endpoints must be integers, got {line!r}", line_no) from None
+        try:
+            tails.append(a)
+            heads.append(b)
+        except OverflowError:
+            # An id past 64 bits fails every vertex count Graph allows. Lists
+            # take the rest, so later lines still raise their ParseError.
+            tails, heads = [*tails[: len(heads)], a], [*heads, b]
     if vertex_count is None:
-        vertex_count = 1 + max(chain.from_iterable(edges), default=-1)
-    edges = tuple(edges)  # the list is freed before Graph validates the tuple
-    return Graph(vertex_count, edges)
+        vertex_count = 1 + max(max(tails, default=-1), max(heads, default=-1))
+    if type(tails) is list:
+        return Graph(vertex_count, zip(tails, heads))
+    return _graph(vertex_count, tails, heads)
 
 
 def emit_edge_list(g: Graph) -> str:
     lines = [f"graph {g.vertex_count}"]
-    lines.extend(f"{a} {b}" for a, b in g.edges)
+    lines.extend(f"{a} {b}" for a, b in zip(g._tails, g._heads))
     # The final newline goes on the last line, not on a copy of the joined text.
     lines[-1] += "\n"
     return "\n".join(lines)
@@ -234,11 +247,11 @@ def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
     lines = ["graph G {"]
     if labeling is None:
         lines.extend(f"  {v};" for v in range(g.vertex_count))
-        lines.extend(f"  {a} -- {b};" for a, b in g.edges)
+        lines.extend(f"  {a} -- {b};" for a, b in zip(g._tails, g._heads))
     else:
         weights = induced_weights(g, labeling)
         lines.extend(f'  {v} [label="{x}"];' for v, x in enumerate(labeling.labels))
-        lines.extend(f'  {a} -- {b} [label="{w}"];' for (a, b), w in zip(g.edges, weights))
+        lines.extend(f'  {a} -- {b} [label="{w}"];' for a, b, w in zip(g._tails, g._heads, weights))
     lines.append("}\n")
     return "\n".join(lines)
 

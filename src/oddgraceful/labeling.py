@@ -12,7 +12,7 @@ the report alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, compress, count, filterfalse, islice
 from operator import sub
 from typing import Union
 
@@ -99,7 +99,7 @@ class VerifyReport:
 def induced_weights(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     """Induced weight |f(a) - f(b)| per edge, in the graph's edge order."""
     labels = _total_labels(g.vertex_count, labeling)
-    return tuple([abs(labels[a] - labels[b]) for a, b in g.edges])
+    return tuple([abs(labels[a] - labels[b]) for a, b in zip(g._tails, g._heads)])
 
 
 def complement_labeling(labeling: Labeling, edge_count: int) -> Labeling:
@@ -129,21 +129,26 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
         labels = tuple([_integer(x, f"label of vertex {v}") for v, x in enumerate(labels)])
         labeling = Labeling(labels)
     weights = induced_weights(g, labeling)
-    ok, label_scan, weight_scan = _verdict(labels, weights)
+    ok, label_scan, (weight_marks, weight_repeats, weight_outside) = _verdict(labels, weights)
     if ok:
         return VerifyReport(())
 
-    _, label_repeats, label_outside = label_scan
-    weight_marks, weight_repeats, weight_outside = weight_scan
+    # The detail reads only the weight marks: the label marks are freed here.
+    label_repeats, label_outside = label_scan[1:]
+    del label_scan
     limit = len(weight_marks)
     violations: list[Violation] = []
     if label_outside:
         violations += [VertexLabelOutOfRange(v, x) for v, x in enumerate(labels)
                        if not 0 <= x < limit]
-    violations += _collisions(DuplicateVertexLabel, labels, label_repeats, range(len(labels)))
+    violations += [DuplicateVertexLabel(x, tuple(vertices))
+                   for x, vertices in _positions(labels, label_repeats).items()]
 
-    violations += [EdgeWeightEven(e, w) for e, w in zip(g.edges, weights) if w % 2 == 0]
-    violations += _collisions(DuplicateEdgeWeight, weights, weight_repeats, g.edges)
+    # An edge's (a, b) pair is built only when a violation cites it.
+    tails, heads = g._tails, g._heads
+    violations += [EdgeWeightEven((tails[i], heads[i]), w) for i, w in enumerate(weights) if w % 2 == 0]
+    violations += [DuplicateEdgeWeight(w, tuple([(tails[i], heads[i]) for i in edges]))
+                   for w, edges in _positions(weights, weight_repeats).items()]
 
     missing = tuple(filterfalse(weight_marks.__getitem__, range(1, limit, 2)))
     extra = tuple(compress(range(0, limit, 2), weight_marks[0::2])) + tuple(sorted(weight_outside))
@@ -190,15 +195,14 @@ def _total_labels(vertex_count: int, labeling: Labeling) -> tuple[int, ...]:
     return labels
 
 
-def _collisions(make, values, repeats: set, items) -> list:
-    """make(value, items at its positions) per value in `repeats`, by
-    ascending value; with no repeats nothing is built."""
-    if not repeats:
-        return []
+def _positions(values, repeats: set) -> dict[int, list[int]]:
+    """The positions of each value in `repeats`, by ascending value; with no
+    repeats nothing is scanned."""
     groups = {x: [] for x in sorted(repeats)}
-    for x, item in compress(zip(values, items), map(repeats.__contains__, values)):
-        groups[x].append(item)
-    return [make(x, tuple(group)) for x, group in groups.items()]
+    if repeats:
+        for i in compress(count(), map(repeats.__contains__, values)):
+            groups[values[i]].append(i)
+    return groups
 
 
 def _scan(values, limit: int) -> tuple[bytearray, set, set]:

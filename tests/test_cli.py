@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -209,6 +210,60 @@ def test_verify_failing_peak_memory(tmp_path):
         assert report.ok is ok
         assert json.loads("".join(parts))["ok"] is ok
     assert peaks[1] <= peaks[0]
+
+
+def test_verify_200k_peak_memory(tmp_path, capsys):
+    # At the verify-200k benchmark size: a permuted, re-oriented union(40,
+    # 199 961) graph and its labeling. The graph holds its edges as two
+    # array('q') endpoint columns and checks duplicates with a set of int
+    # keys, freed before the labeling document is parsed. This reads 27.8 MiB
+    # on CPython 3.11.7 and on 3.10.13; 200 000 edge tuples, with their own
+    # set as the dedupe set, read 46.7 MiB.
+    spec = FamilySpec(40, 199_961)
+    n = spec.cycle_order + spec.path_order
+    rng = random.Random(1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a])
+             for a, b in make_union(spec).edges]
+    rng.shuffle(edges)
+    labels = [0] * n
+    for v, x in enumerate(label_closed_form(spec).labels):
+        labels[perm[v]] = x
+    doc = {"kind": "labeling", "family": {"cycle_order": 40, "path_order": 199_961},
+           "edge_count": len(edges), "labels": labels, "ok": True,
+           "weights": [abs(labels[a] - labels[b]) for a, b in edges]}
+    graph_file, labeling_file = tmp_path / "g.txt", tmp_path / "l.json"
+    graph_file.write_text(f"graph {n}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    labeling_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    del edges, labels, doc
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(graph_file), str(labeling_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert peak < 29 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"graph 3\n0 1\n{2**63} 1\n", f"edge ({2**63}, 1) has an endpoint outside 0..2"),
+        (f"graph 3\n{-(2**63) - 1} 2\n", f"edge ({-(2**63) - 1}, 2) has an endpoint outside 0..2"),
+        (f"0 1\n1 {2**63}\n2 1\n", f"vertex count {2**63 + 1} exceeds the maximum {MAX_VERTICES}"),
+        (f"0 1\n{-(2**64)} 1\n", f"edge ({-(2**64)}, 1) has an endpoint outside 0..1"),
+    ],
+)
+def test_endpoint_past_64_bits_exits_usage(tmp_path, text, message):
+    # array('q') columns hold 64-bit ids; a larger one is reported like any
+    # other out-of-range id or implied vertex count, never as an OverflowError.
+    (tmp_path / "g.txt").write_text(text)
+    for argv in (("dot", "g.txt"), ("search", "g.txt")):
+        proc = run_module("-m", "oddgraceful", *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("method", ["closed", "algo"])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +44,9 @@ from oddgraceful.labeling import (
 )
 from oddgraceful.search import SearchOutcome, SearchVerdict
 
+from reference_graph import reference_validate
 from strategies import EDGE_LIST_LINES, family_specs, labeling_texts, small_graphs
+from test_graph import raw_edge_lists
 
 C4_P3 = Labeling((0, 11, 2, 7, 1, 4, 3))
 
@@ -154,19 +157,56 @@ def test_parse_edge_list_rejects_vertex_count_past_bound():
 
 
 def test_parse_edge_list_peak_memory():
-    # The dedupe set holds the graph's own edge tuples, and the parsed list is
-    # freed before the graph validates its tuple. This peaks at 2.15 times the
-    # returned graph here; a fresh int key per edge, with the list kept alive
-    # through the validation, peaked at 2.50.
+    # The endpoints go into two array('q') columns, and the duplicate check
+    # counts a set of int keys freed before parse_edge_list returns. This
+    # peaks at 3.42 MiB on CPython 3.11.7 (3.35 MiB on 3.10.13), set by the
+    # splitlines list and then by the key set. Holding 20 000 edge tuples,
+    # with their own set as the dedupe set, peaked at 4.67 MiB.
     text = emit_edge_list(make_union(FamilySpec(40, 19_961)))
     tracemalloc.start()
     try:
         g = parse_edge_list(text)
-        size, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert g.edge_count == 20_000
-    assert peak < 2.3 * size
+    assert peak < 3.75 * 2**20
+
+
+@settings(max_examples=300)
+@given(raw_edge_lists(), st.booleans())
+# Ids past the 64 bits of an array('q') column: with a header they are out of
+# range, without one they imply a vertex count past the bound.
+@example((3, ((0, 1), (2**63, 1))), True)
+@example((3, ((0, 1), (2**63, 1))), False)
+@example((3, ((1, 1), (0, -(2**63) - 1))), True)
+@example((3, ((0, 1), (-(2**63) - 1, 1))), False)
+@example((3, ((0, 2**70), (2**64, 1))), False)
+def test_parse_edge_list_matches_int_key_reference(case, header):
+    # The text of a raw_edge_lists case parses to exactly its edges, or fails
+    # on the first fault in edge order with the reference loop's message.
+    n, edges = case
+    text = "".join(f"{a} {b}\n" for a, b in edges)
+    if header:
+        text = f"graph {n}\n{text}"
+    else:
+        n = 1 + max(chain.from_iterable(edges), default=-1)
+    try:
+        Graph(n)  # the vertex-count rules, checked before any edge
+        reference_validate(n, edges)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as exc_info:
+            parse_edge_list(text)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert parse_edge_list(text).edges == edges
+
+
+def test_parse_error_follows_an_id_past_64_bits():
+    # An id past 64 bits does not stop the parse: a malformed later line still
+    # raises its ParseError, quoting the stripped line without its comment.
+    with pytest.raises(ParseError, match=r"^line 3: endpoints must be integers, got '1 x'$"):
+        parse_edge_list(f"graph 3\n0 {2**64}\n  1 x  # comment\n")
 
 
 def test_dot_requires_total_labeling():
