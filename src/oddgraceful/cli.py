@@ -7,12 +7,16 @@ when the labeling is odd graceful, search exits 0/2/3 for found / exhausted /
 budget-exceeded, and any bad command line, input or parameter exits 64.
 --format, on label and search only, picks the output text and never the exit
 code. Below min_path_order, label takes label_short_path whatever --method
-says. Timing lives outside the package, in the benchmark under perfbench/.
+says. verify, like dot --labeling, reads and parses the graph file before it
+reads the labeling file, so a bad graph is the error named when both inputs
+are bad, and each text is held only while it is hashed and parsed. Timing
+lives outside the package, in the benchmark under perfbench/.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -27,8 +31,8 @@ from .errors import OddGracefulError, ParseError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
     LabelingDocument,
+    _dot_lines,
     _report_parts,
-    emit_dot,
     parse_edge_list,
     parse_labeling_document,
 )
@@ -109,6 +113,13 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
 
 
+def _read_hashed(path: str, digest) -> str:
+    """_read, feeding the text's UTF-8 bytes to digest for input_digest."""
+    text = _read(path)
+    digest.update(text.encode())
+    return text
+
+
 def _write(args, parts) -> None:
     """Write the text parts in order, never joined, to --out or stdout."""
     if args.out is not None:
@@ -129,7 +140,10 @@ def _cmd_label(args) -> int:
     weights = _family_weights(spec, labeling)
     ok = _verdict(labeling.labels, weights)[0]
     if args.format == "dot":
-        _write(args, (emit_dot(make_union(spec), labeling),))
+        # The DOT lines take their weights from the graph's edges; these are
+        # freed before the graph is built and validated.
+        del weights
+        _write(args, _dot_lines(make_union(spec), labeling))
     else:
         doc = LabelingDocument((args.cycle, args.path), spec.edge_count, labeling.labels, weights, ok)
         parts = _report_parts(doc)
@@ -140,28 +154,29 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph_text = _read(args.graph_file)
-    labeling_text = _read(args.labeling_file)
-    g = parse_edge_list(graph_text)
-    labeling = _labeling_for(g, labeling_text)
+    # Each text is hashed as it is read and freed once it is parsed, so the
+    # two are never held at once.
+    digest = hashlib.sha256()
+    g = parse_edge_list(_read_hashed(args.graph_file, digest))
+    labeling = _labeling_for(g, _read_hashed(args.labeling_file, digest))
     report = verify_odd_graceful(g, labeling)
     # Free the graph and labels before the report is laid out.
     del g, labeling
-    _write(args, _report_parts(report, graph_text, labeling_text))
+    _write(args, _report_parts(report, digest))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _cmd_search(args) -> int:
-    graph_text = _read(args.graph_file)
-    g = parse_edge_list(graph_text)
+    digest = hashlib.sha256()
+    g = parse_edge_list(_read_hashed(args.graph_file, digest))
     cfg = SearchConfig(node_budget=args.budget, find_all=args.all)
     outcome = search_odd_graceful(g, cfg)
     if args.format == "dot":
         # With no labeling found this draws the bare graph; the exit code
         # stays the verdict.
-        _write(args, (emit_dot(g, outcome.labeling),))
+        _write(args, _dot_lines(g, outcome.labeling))
     else:
-        _write(args, _report_parts(outcome, graph_text))
+        _write(args, _report_parts(outcome, digest))
     return {
         SearchVerdict.FOUND: EXIT_OK,
         SearchVerdict.EXHAUSTED_NOT_FOUND: EXIT_NOT_FOUND,
@@ -172,7 +187,7 @@ def _cmd_search(args) -> int:
 def _cmd_dot(args) -> int:
     g = parse_edge_list(_read(args.graph_file))
     labeling = None if args.labeling is None else _labeling_for(g, _read(args.labeling))
-    _write(args, (emit_dot(g, labeling),))
+    _write(args, _dot_lines(g, labeling))
     return EXIT_OK
 
 

@@ -5,6 +5,8 @@ Edge-list format (read and write)
     body lines             <a> <b>        one edge per line, 0-based ids
     '#' starts a comment running to end of line; blank lines are ignored.
     Without the header, vertex_count defaults to 1 + the largest id used.
+    Lines end where str.splitlines ends them; the text is split a slice at a
+    time, so no list of every line is built.
     A vertex count above graph.MAX_VERTICES (2**22) raises ValidationError.
     The endpoints go straight into the graph's two array('q') columns; an id
     past their 64 bits fails like any id out of range, or, without the
@@ -14,8 +16,10 @@ Report format (write, parse for labeling documents)
     JSON object with a fixed envelope and a kind-specific payload:
         report_version   schema revision, currently 2
         tool_version     package version that produced the report
-        input_digest     "sha256:..." over the source text when the caller
-                         provides one, otherwise over the canonical payload
+        input_digest     "sha256:..." over the source texts, UTF-8 encoded
+                         and fed to the hash one after the other as they are
+                         read (so over their concatenation), when the caller
+                         provides them; otherwise over the canonical payload
         kind             "labeling" | "verify-report" | "search-outcome"
     kind "labeling": family (null or {cycle_order, path_order}), edge_count,
         labels (vertex-id order), weights (edge order), ok. Weights must hold
@@ -33,7 +37,8 @@ Report format (write, parse for labeling documents)
     text is made on the way to a file or stdout.
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
-is supplied (bare ids otherwise) and edge text is the induced weight.
+is supplied (bare ids otherwise) and edge text is the induced weight. The CLI
+writes it line by line (_dot_lines); emit_dot joins the lines.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ def parse_edge_list(text: str) -> Graph:
     to the graph's tails and heads columns; no pair is built per edge."""
     vertex_count: int | None = None
     tails, heads = array("q"), array("q")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -98,6 +103,18 @@ def parse_edge_list(text: str) -> Graph:
     if type(tails) is list:
         return Graph(vertex_count, zip(tails, heads))
     return _graph(vertex_count, tails, heads)
+
+
+def _lines(text: str, size: int = 1 << 16):
+    """The lines of text.splitlines(), split from slices of about size
+    characters, so no list of every line is built. Each slice ends just after
+    a newline; the one two-character line break, \\r\\n, ends in a newline, so
+    no cut falls inside a break."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -173,7 +190,11 @@ def parse_labeling_document(text: str) -> LabelingDocument:
         )
     if type(ok) is not bool:
         raise ParseError("malformed labeling document: ok must be true or false")
-    return LabelingDocument(family, edge_count, tuple(labels), tuple(weights), ok)
+    # With the decoded dict gone, each list is freed as soon as it is copied.
+    del doc
+    labels = tuple(labels)
+    weights = tuple(weights)
+    return LabelingDocument(family, edge_count, labels, weights, ok)
 
 
 def emit_report(
@@ -181,34 +202,38 @@ def emit_report(
     source_text: str | None = None,
 ) -> str:
     """Serialize a report; byte-stable for equal inputs within a release."""
-    return "".join(_report_parts(payload, *(() if source_text is None else (source_text,))))
+    digest = None
+    if source_text is not None:
+        digest = hashlib.sha256(source_text.encode())
+    return "".join(_report_parts(payload, digest))
 
 
-def _report_parts(payload, *sources: str) -> list[str]:
+def _report_parts(payload, digest=None) -> list[str]:
     """The report text as a list of parts, in order; emit_report joins them.
 
     Each body value is encoded once, as its compact text
     json.dumps(value, sort_keys=True, separators=(",", ":")), and laid out
-    from it. input_digest is the SHA-256 of the source texts fed in turn,
-    which equals that of their concatenation, so none is joined to another.
-    Without sources it is that of the compact body, hashed one top-level
-    value at a time, never held whole.
+    from it. digest, when given, is a hashlib.sha256 object the caller has
+    fed with the UTF-8 bytes of each source text in turn, as it read them;
+    input_digest is its hex digest, that of the texts' concatenation.
+    Without it input_digest is that of the compact body, hashed one
+    top-level value at a time, never held whole.
     """
     body = _payload_body(payload)
-    digest = hashlib.sha256()
-    for text in sources:
-        digest.update(text.encode())
+    hash_body = digest is None
+    if hash_body:
+        digest = hashlib.sha256()
     texts = {}
     separator = "{"
     for key in sorted(body):
         compact = json.dumps(body[key], sort_keys=True, separators=(",", ":"))
-        if not sources:
+        if hash_body:
             digest.update(f"{separator}{json.dumps(key)}:".encode())
             digest.update(compact.encode())
             separator = ","
         texts[key] = _indented(body[key], compact)
         del compact  # freed before the next value is encoded
-    if not sources:
+    if hash_body:
         digest.update(b"}")
     # The envelope values are scalars, whose indented text is their JSON text.
     texts["report_version"] = (json.dumps(REPORT_VERSION),)
@@ -244,16 +269,21 @@ def _indented(value, compact: str) -> tuple[str, ...]:
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
     """Render the graph in DOT, with labels on nodes and weights on edges when
     a labeling is given."""
-    lines = ["graph G {"]
+    return "".join(_dot_lines(g, labeling))
+
+
+def _dot_lines(g: Graph, labeling: Labeling | None = None):
+    """emit_dot's text as an iterator of lines, each ending in a newline. The
+    weights are computed before it returns, so a labeling that does not fit g
+    raises ValidationError before the caller opens its output."""
     if labeling is None:
-        lines.extend(f"  {v};" for v in range(g.vertex_count))
-        lines.extend(f"  {a} -- {b};" for a, b in zip(g._tails, g._heads))
+        nodes = (f"  {v};\n" for v in range(g.vertex_count))
+        edges = (f"  {a} -- {b};\n" for a, b in zip(g._tails, g._heads))
     else:
         weights = induced_weights(g, labeling)
-        lines.extend(f'  {v} [label="{x}"];' for v, x in enumerate(labeling.labels))
-        lines.extend(f'  {a} -- {b} [label="{w}"];' for a, b, w in zip(g._tails, g._heads, weights))
-    lines.append("}\n")
-    return "\n".join(lines)
+        nodes = (f'  {v} [label="{x}"];\n' for v, x in enumerate(labeling.labels))
+        edges = (f'  {a} -- {b} [label="{w}"];\n' for a, b, w in zip(g._tails, g._heads, weights))
+    return chain(("graph G {\n",), nodes, edges, ("}\n",))
 
 
 def _payload_body(payload) -> dict:

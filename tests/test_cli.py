@@ -188,8 +188,9 @@ def test_verify_failing_peak_memory(tmp_path):
     # passing file here. Only the stage where the two files can differ is
     # traced, the verifier plus the report parts, after both files are
     # parsed: tracing the whole verify command let the parsing the two share
-    # set both peaks, so they differed by allocation noise alone. This stage
-    # reads 968 984 B for either file.
+    # set both peaks, so they differed by allocation noise alone. The digest
+    # is fed before the stage, as verify feeds it while reading. This stage
+    # reads 969 064 B for either file.
     graph_text = emit_edge_list(make_union(FamilySpec(40, 19_961)))
     assert main(["label", "--cycle", "40", "--path", "19961", "--out", str(tmp_path / "l.json")]) == 0
     doc = json.loads((tmp_path / "l.json").read_text())
@@ -200,10 +201,12 @@ def test_verify_failing_peak_memory(tmp_path):
     peaks = []
     for labeling_text, ok in ((good_text, True), (bad_text, False)):
         labeling = Labeling(parse_labeling_document(labeling_text).labels)
+        digest = hashlib.sha256(graph_text.encode())
+        digest.update(labeling_text.encode())
         tracemalloc.start()
         try:
             report = verify_odd_graceful(g, labeling)
-            parts = _report_parts(report, graph_text, labeling_text)
+            parts = _report_parts(report, digest)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -216,9 +219,14 @@ def test_verify_200k_peak_memory(tmp_path, capsys):
     # At the verify-200k benchmark size: a permuted, re-oriented union(40,
     # 199 961) graph and its labeling. The graph holds its edges as two
     # array('q') endpoint columns and checks duplicates with a set of int
-    # keys, freed before the labeling document is parsed. This reads 27.8 MiB
-    # on CPython 3.11.7 and on 3.10.13; 200 000 edge tuples, with their own
-    # set as the dedupe set, read 46.7 MiB.
+    # keys, freed before the labeling document is parsed. Each input text is
+    # hashed as it is read and freed once it is parsed, so two stages peak
+    # about equally: the key set, with the graph text alive, and the labeling
+    # document's parse, with its text and lists alive. This reads 23.29 MiB
+    # on CPython 3.11.7 and 23.32 MiB on 3.10.13. Holding both texts through
+    # the whole run, to hash them for the report, read 27.8 MiB on both;
+    # 200 000 edge tuples, with their own set as the dedupe set, read
+    # 46.7 MiB.
     spec = FamilySpec(40, 199_961)
     n = spec.cycle_order + spec.path_order
     rng = random.Random(1)
@@ -245,7 +253,7 @@ def test_verify_200k_peak_memory(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert peak < 29 * 2**20
+    assert peak < 24 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -390,6 +398,38 @@ def test_verify_parse_error_names_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(bad), str(labeling_file))
     assert code == 64
     assert "line 2" in err
+
+
+def test_verify_names_the_graph_error_before_reading_the_labeling(tmp_path, capsys):
+    # verify parses the graph before it reads the labeling file, as dot
+    # --labeling does, so a bad graph is named even when the labeling file
+    # is missing.
+    bad = tmp_path / "graph.txt"
+    bad.write_text("0 1\nbroken\n")
+    code, out, err = run_cli(capsys, "verify", str(bad), str(tmp_path / "missing.json"))
+    assert (code, out, err) == (64, "", "error: line 2: expected two endpoints, got 'broken'\n")
+
+
+# A \r\n edge list of union(4, 3) and a \r\n labeling document of it. Both
+# are read with universal newlines, so input_digest is the SHA-256 of the two
+# texts with \n line ends, one after the other.
+CRLF_GRAPH = "graph 7\n0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n"
+CRLF_LABELING = (
+    '{\n  "edge_count": 6,\n  "family": {"cycle_order": 4, "path_order": 3},\n'
+    '  "kind": "labeling",\n  "labels": [0, 11, 2, 7, 1, 4, 3],\n'
+    '  "ok": true,\n  "weights": [11, 9, 5, 7, 3, 1]\n}\n'
+)
+
+
+def test_verify_digest_of_crlf_inputs_pinned(tmp_path, capsys):
+    graph_file, labeling_file = tmp_path / "g.txt", tmp_path / "l.json"
+    graph_file.write_bytes(CRLF_GRAPH.replace("\n", "\r\n").encode())
+    labeling_file.write_bytes(CRLF_LABELING.replace("\n", "\r\n").encode())
+    code, out, _ = run_cli(capsys, "verify", str(graph_file), str(labeling_file))
+    assert code == 0
+    digest = json.loads(out)["input_digest"]
+    assert digest == "sha256:" + hashlib.sha256((CRLF_GRAPH + CRLF_LABELING).encode()).hexdigest()
+    assert digest == "sha256:c14aae11477473f535f883d4db0a85ea07956e9778befce77328b800a52fa5f0"
 
 
 @pytest.mark.parametrize("header", ["graph", "graph 3 4", "graph x"])
@@ -611,6 +651,22 @@ def test_dot_subcommand_with_labeling(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dot", graph_file, "--labeling", str(labeling_file))
     assert code == 0
     assert '[label="11"]' in out
+
+
+def test_dot_labeling_of_wrong_length_writes_no_out_file(tmp_path, capsys):
+    # The DOT lines are written as they are made, but the weights are
+    # computed first: a labeling that does not fit the graph exits 64 before
+    # --out is opened.
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(CRLF_GRAPH)
+    labeling_file = tmp_path / "l.json"
+    labeling_file.write_text(CRLF_LABELING.replace("[0, 11, 2, 7, 1, 4, 3]", "[0, 11, 2, 7, 1, 4]"))
+    out = tmp_path / "g.dot"
+    code, _, err = run_cli(
+        capsys, "dot", str(graph_file), "--labeling", str(labeling_file), "--out", str(out)
+    )
+    assert (code, err) == (64, "error: labeling covers 6 vertices, graph has 7\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
