@@ -5,8 +5,18 @@ Edge-list format (read and write)
     body lines             <a> <b>        one edge per line, 0-based ids
     '#' starts a comment running to end of line; blank lines are ignored.
     Without the header, vertex_count defaults to 1 + the largest id used.
-    Lines end where str.splitlines ends them; the text is split a slice at a
-    time, so no list of every line is built.
+    Lines end where str.splitlines ends them. The text is read a slice at a
+    time, each slice ending just after a '\\n': the first line alone, then
+    about 4 KiB each (_slices). A slice whose every line is
+    '<digits> <digits>\\n' is plain: one str.translate compare proves that,
+    and one json.loads of the slice, its spaces and newlines made commas,
+    turns all its ids into ints in C (_plain_endpoints). Any other slice,
+    or one the decoder or array('q') refuses (leading zeros, more digits
+    than CPython converts, an id past 64 bits), goes to the per-line loop,
+    which defines the format and names the faulty line. On 2 cores and
+    CPython 3.11.7 a verify-200k graph file (q = 200 000) parses, validation
+    included, in 0.10 s against 0.17 s line by line; its \\r\\n copy, read
+    line by line throughout, still takes 0.17 s.
     A vertex count above graph.MAX_VERTICES (2**22) raises ValidationError.
     The endpoints go straight into the graph's two array('q') columns; an id
     past their 64 bits fails like any id out of range, or, without the
@@ -70,34 +80,43 @@ def parse_edge_list(text: str) -> Graph:
     to the graph's tails and heads columns; no pair is built per edge."""
     vertex_count: int | None = None
     tails, heads = array("q"), array("q")
-    for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    line_no = 0
+    for piece in _slices(text):
+        ends = _plain_endpoints(piece)
+        if ends is not None:
+            tails += ends[0::2]
+            heads += ends[1::2]
+            line_no += len(ends) // 2
             continue
-        parts = line.split()
-        if parts[0] == "graph":
-            if vertex_count is not None or tails:
-                raise ParseError("header must be the first content line", line_no)
+        for line_no, raw in enumerate(piece.splitlines(), start=line_no + 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "graph":
+                if vertex_count is not None or tails:
+                    raise ParseError("header must be the first content line", line_no)
+                if len(parts) != 2:
+                    raise ParseError("header form is 'graph <vertex_count>'", line_no)
+                try:
+                    vertex_count = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
+                continue
             if len(parts) != 2:
-                raise ParseError("header form is 'graph <vertex_count>'", line_no)
+                raise ParseError(f"expected two endpoints, got {line!r}", line_no)
             try:
-                vertex_count = int(parts[1])
+                a, b = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"expected two endpoints, got {line!r}", line_no)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"endpoints must be integers, got {line!r}", line_no) from None
-        try:
-            tails.append(a)
-            heads.append(b)
-        except OverflowError:
-            # An id past 64 bits fails every vertex count Graph allows. Lists
-            # take the rest, so later lines still raise their ParseError.
-            tails, heads = [*tails[: len(heads)], a], [*heads, b]
+                raise ParseError(f"endpoints must be integers, got {line!r}", line_no) from None
+            try:
+                tails.append(a)
+                heads.append(b)
+            except OverflowError:
+                # An id past 64 bits fails every vertex count Graph allows.
+                # Lists take the rest, so later lines still raise their
+                # ParseError; plain slices extend them like the arrays.
+                tails, heads = [*tails[: len(heads)], a], [*heads, b]
     if vertex_count is None:
         vertex_count = 1 + max(max(tails, default=-1), max(heads, default=-1))
     if type(tails) is list:
@@ -105,16 +124,37 @@ def parse_edge_list(text: str) -> Graph:
     return _graph(vertex_count, tails, heads)
 
 
-def _lines(text: str, size: int = 1 << 16):
-    """The lines of text.splitlines(), split from slices of about size
-    characters, so no list of every line is built. Each slice ends just after
-    a newline; the one two-character line break, \\r\\n, ends in a newline, so
-    no cut falls inside a break."""
-    start = 0
+def _slices(text: str, size: int = 1 << 12):
+    """text cut into slices that each end just after a newline, but for a
+    last slice without one: the first line alone, so a header never costs a
+    whole slice its plain conversion, then slices of about size characters.
+    The one two-character line break, \\r\\n, ends in a newline, so no cut
+    falls inside a break, and the slices' lines are text.splitlines().
+    Slices of 64 KiB convert no faster, and verify's peak RSS on the
+    verify-200k benchmark's files read up to 2.3 MB higher with them."""
+    start, end = 0, text.find("\n") + 1 or len(text)
     while start < len(text):
-        end = text.find("\n", start + size) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
+        end = text.find("\n", start + size) + 1 or len(text)
+
+
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _plain_endpoints(piece: str) -> array | None:
+    """The endpoints of a slice whose every line is '<digits> <digits>\\n', as
+    one array('q') in text order; None for any other slice, which the
+    per-line loop reads. The translate compare proves the shape of each line,
+    and the C JSON decoder converts the whole slice. A slice goes to the loop
+    too if the decoder refuses it (leading zeros, more digits than CPython
+    converts) or the array does (an id past 64 bits)."""
+    if piece[-1:] != "\n" or piece.translate(_DROP_DIGITS) != " \n" * piece.count("\n"):
+        return None
+    try:
+        return array("q", json.loads("[" + piece[:-1].replace(" ", ",").replace("\n", ",") + "]"))
+    except (ValueError, OverflowError):
+        return None
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -3,7 +3,10 @@ import hashlib
 import json
 import random
 import tracemalloc
+from array import array
+from functools import partial
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,14 +33,16 @@ from oddgraceful import (
     search_odd_graceful,
     verify_odd_graceful,
 )
+from oddgraceful import io_formats
 from oddgraceful.construct import BoundPolicy
 from oddgraceful.graph import MAX_VERTICES
 from oddgraceful.io_formats import (
     REPORT_VERSION,
     LabelingDocument,
     _indented,
-    _lines,
+    _plain_endpoints,
     _report_parts,
+    _slices,
 )
 from oddgraceful.labeling import (
     VIOLATION_KINDS,
@@ -50,7 +55,7 @@ from oddgraceful.labeling import (
 )
 from oddgraceful.search import SearchOutcome, SearchVerdict
 
-from reference_graph import reference_validate
+from reference_graph import reference_parse_edge_list, reference_validate
 from strategies import EDGE_LIST_LINES, family_specs, labeling_texts, small_graphs
 from test_graph import raw_edge_lists
 
@@ -163,22 +168,136 @@ def test_parse_edge_list_rejects_vertex_count_past_bound():
 
 
 # Every line break str.splitlines knows, \r\n among them, and line content.
-LINE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-               "\u2029", " ", "0", "7", "#"]
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_PIECES = [*LINE_BREAKS, " ", "0", "7", "#"]
 
 
 @settings(max_examples=500)
-@given(st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join), st.integers(0, 5))
-def test_lines_equal_splitlines(text, size):
-    assert list(_lines(text, size)) == text.splitlines()
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join), st.integers(0, 8))
+def test_slices_join_to_text_and_its_lines(text, size):
+    slices = list(_slices(text, size))
+    assert "".join(slices) == text
+    assert [line for piece in slices for line in piece.splitlines()] == text.splitlines()
+    # The first line alone, then slices cut just after a newline.
+    first = text.find("\n") + 1 or len(text)
+    assert slices[:1] == ([text[:first]] if text else [])
+    assert all(piece.endswith("\n") for piece in slices[:-1])
+    assert all(len(piece) > size for piece in slices[1:-1])
+
+
+def test_plain_endpoints_reads_only_plain_slices():
+    assert _plain_endpoints("0 1\n12 7\n") == array("q", [0, 1, 12, 7])
+    assert _plain_endpoints(f"{2**63 - 1} 0\n") == array("q", [2**63 - 1, 0])
+    # Each of these goes to the per-line loop, which defines the format.
+    for piece in ["", "0 1", "0 1\n2 3", "0 1\r\n", "0\t1\n", "0  1\n", " 0 1\n", "0 1 \n",
+                  "0 \n", " 1\n", "\n", "0 1\n\n", "007 1\n", "+1 2\n", "-1 2\n", "\u0663 1\n",
+                  "0 1 # c\n", "graph 3\n", "0 1 2\n", f"{2**63} 1\n", f"{'9' * 5000} 1\n"]:
+        assert _plain_endpoints(piece) is None, piece
+
+
+PLAIN_LINES = st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda e: f"{e[0]} {e[1]}\n")
+ENDPOINT_IDS = st.one_of(st.integers(0, 9), st.sampled_from([2**63 - 1, 2**63, 2**64]))
+EDGE_LINE_CONTENTS = st.one_of(
+    st.tuples(ENDPOINT_IDS, ENDPOINT_IDS).map(lambda e: f"{e[0]} {e[1]}"),
+    st.integers(0, 12).map(lambda n: f"graph {n}"),
+    st.sampled_from([
+        "", " ", "# comment", "0 1  # edge", "\t0\t1", " 0 1 ", "0  1", "007 1", "1 00",
+        "+1 2", "-1 2", "\u0663 1", "1 \u0663", "0 1 2", "0", "x y", "graph", "graph 3 4",
+        "graph x", f"{-(2**63) - 1} 1", f"{'9' * 5000} 1",
+    ]),
+)
+
+
+EDGE_LIST_BLOCKS = st.one_of(
+    st.lists(PLAIN_LINES, min_size=1, max_size=8).map("".join),
+    st.tuples(EDGE_LINE_CONTENTS, st.sampled_from(LINE_BREAKS)).map("".join),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts: runs of plain lines between lines of every other kind,
+    with every line break, so that small slices of them are read both ways."""
+    text = "".join(draw(st.lists(EDGE_LIST_BLOCKS, max_size=12)))
+    if draw(st.booleans()):
+        text = f"graph {draw(st.integers(0, 12))}\n" + text
+    if draw(st.booleans()):
+        text += draw(EDGE_LINE_CONTENTS)  # a last line with no newline
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=1000)
+@given(edge_list_texts(), st.integers(1, 64))
+@example("0 1\n1 2\n2 3\n3 4\n", 1)
+@example(f"0 {2**64}\n1 2\n2 3\n3 4\n", 1)
+@example(f"graph 5\n0 {2**64}\n1 2\n2 3\n3 x\n", 1)
+@example("0 1\n1 2\ngraph 5\n", 1)
+def test_parse_edge_list_matches_per_line_reference(text, size):
+    # Plain slices, converted whole, and the rest, read line by line, give
+    # the Graph or the error (type, message, line) that the old per-line
+    # parser gives.
+    with mock.patch.object(io_formats, "_slices", partial(_slices, size=size)):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("tail", ["", "1 x  # comment\n"])
+def test_plain_slices_after_an_id_past_64_bits(header, tail):
+    # An id past 64 bits turns the columns into lists; later plain slices
+    # extend them, so the reference's ValidationError is still raised, or the
+    # ParseError of a malformed line after them.
+    plain = "".join(f"{v} {v + 1}\n" for v in range(2, 20_002))
+    text = f"0 1\n1 {2**64}\n{plain}{tail}"
+    if header:
+        text = f"graph 20003\n{text}"
+    plain_slices = [_plain_endpoints(piece) is not None for piece in _slices(text)]
+    assert plain_slices[1] is False and len(plain_slices) > 3 and all(plain_slices[2:-1])
+    outcome = parse_outcome(parse_edge_list, text)
+    assert outcome == parse_outcome(reference_parse_edge_list, text)
+    if tail:
+        assert outcome == (ParseError, f"line {20_003 + header}: endpoints must be integers, got '1 x'",
+                           20_003 + header)
+    else:
+        assert outcome[0] is ValidationError
+
+
+def test_parse_edge_list_at_benchmark_size():
+    # A permuted, re-oriented, shuffled union(40, 199 961), as the verify-200k
+    # benchmark writes it, parses to the same Graph with its plain slices
+    # converted whole, with \r\n endings (every slice read line by line) and
+    # with a comment on every 1 000th line.
+    spec = FamilySpec(40, 199_961)
+    n = spec.cycle_order + spec.path_order
+    rng = random.Random(1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a])
+             for a, b in make_union(spec).edges]
+    rng.shuffle(edges)
+    expected = Graph(n, edges)
+    lines = [f"graph {n}", *(f"{a} {b}" for a, b in edges)]
+    del edges
+    assert parse_edge_list("\n".join(lines) + "\n") == expected
+    assert parse_edge_list("\r\n".join(lines) + "\r\n") == expected
+    for i in range(1, len(lines), 1000):
+        lines[i] += f"  # line {i + 1}"
+    assert parse_edge_list("\n".join(lines) + "\n") == expected
 
 
 def test_parse_edge_list_peak_memory():
     # The endpoints go into two array('q') columns, and the duplicate check
     # counts a set of int keys freed before parse_edge_list returns. This
     # peaks at 3.42 MiB on CPython 3.11.7 (3.35 MiB on 3.10.13), set by the
-    # key set. The lines, split a slice at a time, peak at 0.64 MiB before
-    # validation; the whole splitlines list read 1.61 MiB. Holding 20 000
+    # key set. Before validation the parse peaks at 0.35 MiB, plain slices
+    # converted whole; split into lines a slice at a time it read 0.64 MiB,
+    # and the whole splitlines list 1.61 MiB. Holding 20 000
     # edge tuples, with their own set as the dedupe set, peaked at 4.67 MiB.
     text = emit_edge_list(make_union(FamilySpec(40, 19_961)))
     tracemalloc.start()
