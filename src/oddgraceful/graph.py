@@ -60,17 +60,16 @@ class Graph:
             raise _first_fault(n, pairs) from None
         self._adopt(n, tails, heads)
 
-    def _adopt(self, n: int, tails: array, heads: array) -> None:
-        """Check the columns by C-level passes and take them as this graph's
-        edges; only on a fault does the per-edge loop run, to name the first.
-        The keys (a + b)*n + |a - b| ignore orientation and are unique once
-        both ends are in range; their set is freed as soon as it is counted."""
-        if tails and (
-            min(tails) < 0 or min(heads) < 0 or max(tails) >= n or max(heads) >= n
-            or not all(map(ne, tails, heads))
-            or len(set(map(add, map(mul, map(add, tails, heads), repeat(n)),
-                           map(abs, map(sub, tails, heads))))) < len(tails)
-        ):
+    def _adopt(self, n: int, tails: array, heads: array, facts: _EdgeFacts | None = None) -> None:
+        """Take the columns as this graph's edges once the facts gathered
+        from them fit n; only on a fault does the per-edge loop run, to name
+        the first. Without facts, the columns are fed to new ones whole. The
+        edge-list parser passes the facts it fed a slice at a time."""
+        if facts is None:
+            facts = _EdgeFacts(n)
+            facts.add(tails, heads)
+        assert facts.count == len(tails), "every edge is fed to the facts once"
+        if not facts.fit(n):
             raise _first_fault(n, zip(tails, heads))
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "_tails", tails)
@@ -99,12 +98,51 @@ class Graph:
         return tuple(tuple(ns) for ns in nbrs)
 
 
-def _graph(vertex_count: int, tails: array, heads: array) -> Graph:
+def _graph(vertex_count: int, tails: array, heads: array, facts: _EdgeFacts | None = None) -> Graph:
     """The Graph with these endpoint columns, validated like any other; the
-    edge-list parser and the builders hand their arrays over uncopied."""
+    edge-list parser and the builders hand their arrays over uncopied, the
+    parser with the facts it gathered from every edge it appended."""
     g = Graph.__new__(Graph)
-    g._adopt(_vertex_count(vertex_count), tails, heads)
+    g._adopt(_vertex_count(vertex_count), tails, heads, facts)
     return g
+
+
+class _EdgeFacts:
+    """What validating a graph needs to know of its edges, gathered a chunk
+    at a time by C-level passes over ints that already exist: the least and
+    the greatest endpoint (0 and -1 before any edge), whether some edge is a
+    self-loop, the edge count, and the set of orientation-free keys
+    (a + b)*base + |a - b|, in which a duplicate is a key seen twice.
+
+    The keys are unique while both ends lie in 0..base-1. So base is the
+    given vertex count when it is one Graph allows, else MAX_VERTICES, which
+    bounds every allowed count; an end outside 0..n-1 fails fit's range test
+    whatever its keys."""
+
+    __slots__ = ("base", "low", "high", "loop", "count", "keys")
+
+    def __init__(self, vertex_count: int | None = None):
+        allowed = vertex_count is not None and 0 <= vertex_count <= MAX_VERTICES
+        self.base = vertex_count if allowed else MAX_VERTICES
+        self.low, self.high, self.loop, self.count = 0, -1, False, 0
+        self.keys: set[int] = set()
+
+    def add(self, tails, heads) -> None:
+        """Feed the edges (tails[i], heads[i]): two equal-length int sequences."""
+        if not tails:
+            return
+        low, high = min(min(tails), min(heads)), max(max(tails), max(heads))
+        if self.count:
+            low, high = min(low, self.low), max(high, self.high)
+        self.low, self.high = low, high
+        self.loop = self.loop or not all(map(ne, tails, heads))
+        self.count += len(tails)
+        self.keys.update(map(add, map(mul, map(add, tails, heads), repeat(self.base)),
+                             map(abs, map(sub, tails, heads))))
+
+    def fit(self, n: int) -> bool:
+        """Whether the edges fed are in 0..n-1, loop-free and distinct."""
+        return 0 <= self.low and self.high < n and not self.loop and len(self.keys) == self.count
 
 
 def _vertex_count(value) -> int:

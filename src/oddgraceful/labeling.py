@@ -12,7 +12,7 @@ the report alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, islice
+from itertools import chain, compress, count, islice
 from operator import sub
 from typing import Union
 
@@ -144,14 +144,23 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     violations += [DuplicateVertexLabel(x, tuple(vertices))
                    for x, vertices in _positions(labels, label_repeats).items()]
 
-    # An edge's (a, b) pair is built only when a violation cites it.
+    # The edges a violation cites are those whose weight is even or repeats:
+    # one C-level pass finds them in edge order, and an edge's (a, b) pair is
+    # built only for them.
+    evens = [2 * i for i in _find_all(weight_marks[0::2], 1)]
+    outside = sorted(weight_outside)
+    suspects = {*evens, *(w for w in outside if w % 2 == 0), *weight_repeats}
+    cited = [(i, weights[i]) for i in compress(count(), map(suspects.__contains__, weights))]
     tails, heads = g._tails, g._heads
-    violations += [EdgeWeightEven((tails[i], heads[i]), w) for i, w in enumerate(weights) if w % 2 == 0]
-    violations += [DuplicateEdgeWeight(w, tuple([(tails[i], heads[i]) for i in edges]))
-                   for w, edges in _positions(weights, weight_repeats).items()]
+    violations += [EdgeWeightEven((tails[i], heads[i]), w) for i, w in cited if w % 2 == 0]
+    groups = {w: [] for w in sorted(weight_repeats)}
+    for i, w in cited:
+        if w in groups:
+            groups[w].append((tails[i], heads[i]))
+    violations += [DuplicateEdgeWeight(w, tuple(edges)) for w, edges in groups.items()]
 
-    missing = tuple(filterfalse(weight_marks.__getitem__, range(1, limit, 2)))
-    extra = tuple(compress(range(0, limit, 2), weight_marks[0::2])) + tuple(sorted(weight_outside))
+    missing = tuple([2 * i + 1 for i in _find_all(weight_marks[1::2], 0)])
+    extra = (*evens, *outside)
     if missing or extra:
         violations.append(EdgeWeightSetMismatch(missing, extra))
 
@@ -203,6 +212,15 @@ def _positions(values, repeats: set) -> dict[int, list[int]]:
         for i in compress(count(), map(repeats.__contains__, values)):
             groups[values[i]].append(i)
     return groups
+
+
+def _find_all(marks: bytes, value: int):
+    """The positions of value in marks, ascending, each found by a C-level
+    find from the one before."""
+    i = marks.find(value)
+    while i >= 0:
+        yield i
+        i = marks.find(value, i + 1)
 
 
 def _scan(values, limit: int) -> tuple[bytearray, set, set]:

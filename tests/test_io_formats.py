@@ -3,7 +3,6 @@ import hashlib
 import json
 import random
 import tracemalloc
-from array import array
 from functools import partial
 from itertools import chain
 from unittest import mock
@@ -186,8 +185,8 @@ def test_slices_join_to_text_and_its_lines(text, size):
 
 
 def test_plain_endpoints_reads_only_plain_slices():
-    assert _plain_endpoints("0 1\n12 7\n") == array("q", [0, 1, 12, 7])
-    assert _plain_endpoints(f"{2**63 - 1} 0\n") == array("q", [2**63 - 1, 0])
+    assert _plain_endpoints("0 1\n12 7\n") == [0, 1, 12, 7]
+    assert _plain_endpoints(f"{2**63 - 1} 0\n") == [2**63 - 1, 0]
     # Each of these goes to the per-line loop, which defines the format.
     for piece in ["", "0 1", "0 1\n2 3", "0 1\r\n", "0\t1\n", "0  1\n", " 0 1\n", "0 1 \n",
                   "0 \n", " 1\n", "\n", "0 1\n\n", "007 1\n", "+1 2\n", "-1 2\n", "\u0663 1\n",
@@ -239,6 +238,16 @@ def parse_outcome(parse, text):
 @example(f"0 {2**64}\n1 2\n2 3\n3 4\n", 1)
 @example(f"graph 5\n0 {2**64}\n1 2\n2 3\n3 x\n", 1)
 @example("0 1\n1 2\ngraph 5\n", 1)
+# Faults whose edges lie in different slices, read both ways: duplicates in
+# opposite orientation (the second copy in a plain slice, then in a per-line
+# one, then without a header), a self-loop after plain slices, and an id out
+# of range in the last slice, plain and per-line.
+@example("graph 3\n0 1\n# c\n1 0\n", 1)
+@example("graph 3\n0 1\n1 0  # c\n", 1)
+@example("0 1\n# c\n1 0\n", 1)
+@example("graph 4\n0 1\n1 2\n3 3\n", 1)
+@example("graph 3\n0 1\n1 2\n2 3\n", 1)
+@example("graph 3\n0 1\n1 2\n2 3", 1)
 def test_parse_edge_list_matches_per_line_reference(text, size):
     # Plain slices, converted whole, and the rest, read line by line, give
     # the Graph or the error (type, message, line) that the old per-line
@@ -268,6 +277,21 @@ def test_plain_slices_after_an_id_past_64_bits(header, tail):
         assert outcome[0] is ValidationError
 
 
+@pytest.mark.parametrize("header", ["", f"graph {MAX_VERTICES}\n"])
+def test_duplicate_keys_at_the_vertex_bound(header):
+    # With MAX_VERTICES vertices, declared or implied by the largest id, the
+    # orientation-free keys (a + b)*base + |a - b| still tell edges apart:
+    # (0, M-1) and (1, M-2) share a sum but not a difference, and (M-1, 0)
+    # repeats (0, M-1).
+    top = MAX_VERTICES - 1
+    g = parse_edge_list(f"{header}0 {top}\n1 {top - 1}\n")
+    assert g == Graph(MAX_VERTICES, ((0, top), (1, top - 1)))
+    with pytest.raises(ValidationError, match=rf"^duplicate edge \({top}, 0\)$"):
+        parse_edge_list(f"{header}0 {top}\n{top} 0\n")
+    with pytest.raises(ValidationError, match=rf"^duplicate edge \({top}, 0\)$"):
+        Graph(MAX_VERTICES, ((0, top), (top, 0)))
+
+
 def test_parse_edge_list_at_benchmark_size():
     # A permuted, re-oriented, shuffled union(40, 199 961), as the verify-200k
     # benchmark writes it, parses to the same Graph with its plain slices
@@ -293,12 +317,14 @@ def test_parse_edge_list_at_benchmark_size():
 
 def test_parse_edge_list_peak_memory():
     # The endpoints go into two array('q') columns, and the duplicate check
-    # counts a set of int keys freed before parse_edge_list returns. This
-    # peaks at 3.42 MiB on CPython 3.11.7 (3.35 MiB on 3.10.13), set by the
-    # key set. Before validation the parse peaks at 0.35 MiB, plain slices
-    # converted whole; split into lines a slice at a time it read 0.64 MiB,
-    # and the whole splitlines list 1.61 MiB. Holding 20 000
-    # edge tuples, with their own set as the dedupe set, peaked at 4.67 MiB.
+    # fills a set of int keys a slice at a time, freed when parse_edge_list
+    # returns. This peaks at 3.45 MiB on CPython 3.11.7 (3.38 MiB on
+    # 3.10.13), set by the key set; with the keys of base MAX_VERTICES in
+    # place of the header's count it read 3.52 MiB. Without the key set the
+    # parse peaked at 0.35 MiB, plain slices converted whole; split into
+    # lines a slice at a time it read 0.64 MiB, and the whole splitlines
+    # list 1.61 MiB. Holding 20 000 edge tuples, with their own set as the
+    # dedupe set, peaked at 4.67 MiB.
     text = emit_edge_list(make_union(FamilySpec(40, 19_961)))
     tracemalloc.start()
     try:

@@ -255,6 +255,10 @@ def labeled_graphs(draw):
 @example((make_path(5), Labeling((0, 2, 11, 1, 9))))
 @example((Graph(1), Labeling((-1,))))
 @example((make_union(FamilySpec(4, 3)), Labeling((3,) * 7)))
+# An even weight past 2q-1, repeated; one in-range even weight three times,
+# with 1, 3 and 5 missing and 2 extra.
+@example((make_path(3), Labeling((0, 6, 0))))
+@example((make_path(4), Labeling((0, 2, 0, 2))))
 def test_verifier_matches_reference(case):
     # The reference is the 0.3.0 verifier; equality covers violation order.
     g, labeling = case
