@@ -140,8 +140,8 @@ def _cmd_label(args) -> int:
     weights = _family_weights(spec, labeling)
     ok = _verdict(labeling.labels, weights)[0]
     if args.format == "dot":
-        # The DOT lines take their weights from the graph's edges; these are
-        # freed before the graph is built and validated.
+        # The DOT lines compute each edge's weight as they lay it out; these
+        # weights are freed before the graph is built and validated.
         del weights
         _write(args, _dot_lines(make_union(spec), labeling))
     else:

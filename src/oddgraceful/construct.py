@@ -1,21 +1,21 @@
 """Constructive odd-graceful labelers for the cycle-plus-path family.
 
 The paper's construction comes in two interchangeable forms that must agree
-vertex for vertex. The closed form assigns every label directly: around the
-cycle, odd positions take the ascending even numbers 0, 2, 4, ... while even
-positions take the descending odd numbers 2q-1, 2q-3, ..., except the closing
-vertex, which drops to 2q-(2m-3) so the two cycle edges at the seam consume
-the weights 2q-3m+5 and 2q-2m+3. Along the path, odd positions take small odd
-numbers and even positions take a descending run of even numbers; the exact
-formulas branch on the parity of half the cycle order.
+vertex for vertex. Each builds its labels tuple in one stream of ranges, with
+no per-vertex Python code, so construction is linear in the edge count.
 
-The pass-based variant reaches the same labeling operationally: after fixing
-the closing cycle label and the reserved seam weight, one pass fills the
-cycle and an independent pass walks the path, carrying a weight that starts
-just below the closing label and decreases by 2, skipping over the reserved
-weight when the sequence meets it. Vertex labels alternate adding and
-subtracting the carried weight. Each vertex and edge is touched a constant
-number of times, so construction is linear in the edge count.
+The closed form interleaves runs of labels. Around the cycle, the ascending
+evens 0, 2, ..., m-2 alternate with the descending odds 2q-1, ..., 2q-m+3,
+and the closing vertex drops to 2q-2m+3, so the two cycle edges at the seam
+take the weights 2q-3m+5 and 2q-2m+3. Along the path, ascending odds from 1
+alternate with descending evens from 2q-2m+2; one of the two runs passes
+over a single value, which one depending on the parity of half the cycle
+order.
+
+The pass-based form reaches the same labels as two walks that add and
+subtract in turn a falling weight: the cycle from 0 over 2q-1, 2q-3, ...
+and then the reserved seam weight 2q-3m+5, the path from 1 over the weights
+below the closing label, passing over the reserved one.
 
 Both need the path order to reach min_path_order(m); one below it the
 labeling collides. The short-path form covers 2 <= n <= m instead, so
@@ -25,6 +25,8 @@ together the two forms label every C_m + P_n with even m >= 4.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate, chain, cycle, islice
+from operator import mul
 
 from .errors import ValidationError
 from .graph import FamilySpec, _cycle_order
@@ -50,65 +52,43 @@ def min_path_order(cycle_order: int) -> int:
 
 
 def label_closed_form(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORCE) -> Labeling:
-    """Direct formula labeling; valid whenever the path order meets the minimum."""
+    """Direct formula labeling; valid whenever the path order meets the minimum.
+
+    The cycle interleaves 0, 2, ..., m-2 with 2q-1, 2q-3, ..., 2q-m+3 and
+    then the closing label 2q-2m+3. With k = m/2 and base = 2q-2m, path
+    vertex i = 1..n takes the next of the odd numbers 1, 3, ... (i odd) or
+    of the even numbers base+2, base, ... (i even). Past i = k-2 the odds
+    pass over k when k is odd, the evens over base+4-k when k is even.
+    """
     _check_bound(spec, policy)
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
-    k = m // 2
-    labels = [0] * (m + n)
-
-    for i in range(1, m + 1):
-        if i % 2:
-            labels[i - 1] = i - 1
-        elif i <= m - 2:
-            labels[i - 1] = 2 * q - (i - 1)
-    labels[m - 1] = 2 * q - (2 * m - 3)
-
-    base = 2 * q - 2 * m
+    k, base = m // 2, 2 * q - 2 * m
+    falling = chain(range(2 * q - 1, 2 * q - m + 1, -2), (2 * q - 2 * m + 3,))
+    ring = _zigzag(range(0, m, 2), falling, m)
     if k % 2:
-        for i in range(1, n + 1):
-            if i % 2:
-                labels[m + i - 1] = i if i <= k - 2 else i + 2
-            else:
-                labels[m + i - 1] = base + 4 - i
+        odds, evens = _passing_over(1, 2 * q, 2, k), range(base + 2, -1, -2)
     else:
-        for i in range(1, n + 1):
-            if i % 2:
-                labels[m + i - 1] = i
-            elif i <= k - 2:
-                labels[m + i - 1] = base + 4 - i
-            else:
-                labels[m + i - 1] = base + 2 - i
-    return Labeling(tuple(labels))
+        odds, evens = range(1, 2 * q, 2), _passing_over(base + 2, -1, -2, base + 4 - k)
+    return Labeling(tuple(chain(ring, _zigzag(odds, evens, n))))
 
 
 def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORCE) -> Labeling:
     """Pass-based labeling; equals label_closed_form exactly on every input.
 
-    The cycle pass and the path pass are independent once the closing label
-    and the reserved weight are fixed.
+    Each half is a walk that adds and subtracts in turn a falling weight. The
+    cycle walks from 0 over 2q-1, 2q-3, ..., 2q-2m+5 and then the reserved
+    weight 2q-3m+5, which lands on the closing label 2q-2m+3. The path walks
+    from 1 over closing-2, closing-4, ..., passing over the reserved weight.
     """
     _check_bound(spec, policy)
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
-    closing_label = 2 * q - (2 * m - 3)
-    reserved_weight = 2 * q - 3 * m + 5
-    labels = [0] * (m + n)
-
-    # Cycle pass: evens up from 0 alternate with odds down from 2q-1, then the closing label.
-    for i in range(3, m, 2):
-        labels[i - 1] = labels[i - 3] + 2
-    for i in range(2, m, 2):
-        labels[i - 1] = 2 * q - i + 1
-    labels[m - 1] = closing_label
-
-    # Path pass: add and subtract in turn a falling weight that skips the reserved one.
-    labels[m] = 1
-    w = closing_label
-    for j in range(1, n):
-        w -= 2
-        if w == reserved_weight:
-            w -= 2
-        labels[m + j] = labels[m + j - 1] + (w if j % 2 else -w)
-    return Labeling(tuple(labels))
+    closing_label, reserved_weight = 2 * q - 2 * m + 3, 2 * q - 3 * m + 5
+    ring_weights = chain(range(2 * q - 1, closing_label, -2), (reserved_weight,))
+    path_weights = _passing_over(closing_label - 2, -1, -2, reserved_weight)
+    return Labeling(tuple(chain(
+        accumulate(map(mul, ring_weights, cycle((1, -1))), initial=0),
+        islice(accumulate(map(mul, path_weights, cycle((1, -1))), initial=1), n),
+    )))
 
 
 def label_short_path(spec: FamilySpec) -> Labeling:
@@ -124,22 +104,31 @@ def label_short_path(spec: FamilySpec) -> Labeling:
     at least m. The path's even labels are at most n - 1 < m and its odd ones
     at least 2m + n - 1 > 2m, so no label repeats and all lie in 0..2q-1.
     At n = m + 1 the path's label m meets the cycle's, so n > m is refused.
+    As runs: the cycle's odd labels rise from 1 passing over k + 2 (k odd),
+    its even ones fall from 2m passing over m + 2 (k odd) or 3k (k even).
     """
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
     if n > m:
         raise ValidationError(f"path order {n} exceeds cycle order {m}")
     k = m // 2
-    labels = [0] * (m + n)
-    for i in range(1, m + 1):
-        if i % 2:
-            labels[i - 1] = i + 2 if k % 2 and i > k else i
-        elif (i == m) if k % 2 else (i > k):
-            labels[i - 1] = 2 * m - i
-        else:
-            labels[i - 1] = 2 * m + 2 - i
-    for j in range(n):
-        labels[m + j] = 2 * q - j if j % 2 else j
-    return Labeling(tuple(labels))
+    if k % 2:
+        odds, evens = _passing_over(1, 2 * m, 2, k + 2), _passing_over(2 * m, -1, -2, m + 2)
+    else:
+        odds, evens = range(1, m, 2), _passing_over(2 * m, -1, -2, 3 * k)
+    path = _zigzag(range(0, n, 2), range(2 * q - 1, -1, -2), n)
+    return Labeling(tuple(chain(_zigzag(odds, evens, m), path)))
+
+
+def _zigzag(firsts, seconds, count: int):
+    """The first count of firsts[0], seconds[0], firsts[1], seconds[1], ...;
+    the runs may go on past what is taken, since nothing more is drawn."""
+    return islice(chain.from_iterable(zip(firsts, seconds)), count)
+
+
+def _passing_over(start: int, stop: int, step: int, skipped: int):
+    """The progression from start by step without skipped, which lies on it.
+    It stops short of stop, or of skipped when that lies past stop."""
+    return chain(range(start, skipped, step), range(skipped + step, stop, step))
 
 
 def _check_bound(spec: FamilySpec, policy: BoundPolicy) -> None:

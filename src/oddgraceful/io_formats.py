@@ -69,6 +69,7 @@ from .labeling import (
     VIOLATION_KINDS,
     Labeling,
     VerifyReport,
+    _total_labels,
     induced_weights,
 )
 from .search import SearchOutcome
@@ -327,16 +328,20 @@ def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
 
 
 def _dot_lines(g: Graph, labeling: Labeling | None = None):
-    """emit_dot's text as an iterator of lines, each ending in a newline. The
-    weights are computed before it returns, so a labeling that does not fit g
+    """emit_dot's text as an iterator of lines, each ending in a newline. Each
+    edge's weight is computed as its line is laid out, but the labeling's
+    length is checked before this returns, so a labeling that does not fit g
     raises ValidationError before the caller opens its output."""
     if labeling is None:
         nodes = (f"  {v};\n" for v in range(g.vertex_count))
         edges = (f"  {a} -- {b};\n" for a, b in zip(g._tails, g._heads))
     else:
-        weights = induced_weights(g, labeling)
-        nodes = (f'  {v} [label="{x}"];\n' for v, x in enumerate(labeling.labels))
-        edges = (f'  {a} -- {b} [label="{w}"];\n' for a, b, w in zip(g._tails, g._heads, weights))
+        labels = _total_labels(g.vertex_count, labeling)
+        nodes = (f'  {v} [label="{x}"];\n' for v, x in enumerate(labels))
+        edges = (
+            f'  {a} -- {b} [label="{abs(labels[a] - labels[b])}"];\n'
+            for a, b in zip(g._tails, g._heads)
+        )
     return chain(("graph G {\n",), nodes, edges, ("}\n",))
 
 

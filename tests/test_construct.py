@@ -17,6 +17,7 @@ from oddgraceful import (
 )
 from oddgraceful.construct import BoundPolicy
 
+from reference_construct import reference_algorithmic, reference_closed_form, reference_short_path
 from strategies import family_specs
 
 # Labelings derived independently by substituting q = m + n - 1 into the
@@ -183,6 +184,19 @@ def test_boundary_is_sharp(m):
     spec = FamilySpec(m, n)
     labeling = label_closed_form(spec, BoundPolicy.FORCE)
     assert not verify_odd_graceful(make_union(spec), labeling).ok
+
+
+@pytest.mark.parametrize("m", [*range(4, 31, 2), 40, 42])
+def test_constructors_match_the_per_vertex_references(m):
+    # Every path order from 2 to 40 past the minimum, so the runs' breaks
+    # (at i = k-2 and at the reserved weight) meet empty and one-element
+    # ranges for both residues of m mod 4; FORCE below the minimum.
+    for n in range(2, min_path_order(m) + 41):
+        spec = FamilySpec(m, n)
+        assert label_closed_form(spec, BoundPolicy.FORCE).labels == reference_closed_form(spec), n
+        assert label_algorithmic(spec, BoundPolicy.FORCE).labels == reference_algorithmic(spec), n
+        if n <= m:
+            assert label_short_path(spec).labels == reference_short_path(spec), n
 
 
 @settings(max_examples=80)
