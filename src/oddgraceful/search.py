@@ -3,12 +3,12 @@
 The search assigns labels to vertices in increasing id order, trying
 candidate labels in ascending numeric order, so the first labeling found is
 the lexicographically least solution read in vertex-id order and the whole
-run is deterministic. Pruning: a candidate is rejected if its label is taken,
-if its parity disagrees with the two-coloring of its component, or if any
-edge to an already-labeled neighbour would induce an already-used weight;
-the coloring makes every weight odd. Odd weights force opposite label
-parity across every edge, so a graph containing an odd cycle has no
-labeling at all; such graphs are rejected immediately with a witness cycle.
+run is deterministic. Pruning: a vertex's candidates are one bit mask, the
+free labels of its color's parity minus those that would give an edge to a
+labeled neighbour a used weight or the weight of another such edge; the
+coloring makes every weight odd. Odd weights force opposite label parity
+across every edge, so a graph containing an odd cycle has no labeling at
+all; such graphs are rejected immediately with a witness cycle.
 A graph with more vertices than the 2q labels 0..2q-1 has none either, by
 pigeonhole, and is rejected before anything is allocated.
 
@@ -20,8 +20,10 @@ the first solution is kept as a labeling and the rest are counted, so the
 memory of find_all does not grow with the count. The depth-first walk is one
 loop over an explicit stack, so no graph size hits Python's recursion limit.
 
-Exhaustion is practical up to roughly 18 edges. Beyond that, set a node
-budget and treat the outcome as inconclusive.
+Exhaustion (find_all, or proving that none exists) takes seconds up to about
+10 edges, and each further edge multiplies the nodes by 5 to 7; a first hit
+may come at 18 edges (C18) or not within 10 M nodes at 12 (P13). Beyond
+that, set a node budget and treat the outcome as inconclusive.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ValidationError
 from .graph import Graph, _integer
@@ -131,8 +134,11 @@ def _none_exists(witness: tuple[int, ...] | None = None) -> SearchOutcome:
 
 def _enumerate(g, cfg, coloring, head):
     """Depth-first enumeration core: one loop over an explicit stack, where
-    depth v labels vertex v and next_label[v] is the next candidate there.
-    coloring and head come from _two_color.
+    depth v labels vertex v and start[v] is the least label still to try
+    there; coloring and head come from _two_color. Bit x of free is set while
+    label x is unused, and bits w of used and limit - w of mirrored are set
+    for each weight w in use. Each visit of a depth builds its candidate mask
+    from these and commits the lowest bit; nothing is kept per depth.
 
     Returns (first_labeling, nodes, solution_count, budget_cut); a node is
     counted each time a candidate label survives all filters and is committed.
@@ -140,22 +146,17 @@ def _enumerate(g, cfg, coloring, head):
     Requires vertex_count <= 2 * edge_count.
     """
     nv, limit = g.vertex_count, 2 * g.edge_count
-    adj = g.adjacency
-    earlier = [tuple(u for u in adj[v] if u < v) for v in range(nv)]
-    # Within a component, labels after the head's follow its two-coloring.
-    stride = [1 if head[v] == v else 2 for v in range(nv)]
+    earlier = [tuple(u for u in ns if u < v) for v, ns in enumerate(g.adjacency)]
+    even = ((1 << limit) - 1) // 3
+    parity = (even, even << 1)
 
     labels = [-1] * nv
-    next_label = [0] * nv
-    used_label = bytearray(limit)
-    used_weight = bytearray(limit)
+    start = [0] * (nv + 1)
+    free = (1 << limit) - 1
+    used = mirrored = 0
     budget = cfg.node_budget
-    find_all = cfg.find_all
-
-    nodes = 0
-    sols = 0
+    nodes = sols = 0
     first: Labeling | None = None
-    cut = False
 
     v = 0
     while v >= 0:
@@ -163,56 +164,48 @@ def _enumerate(g, cfg, coloring, head):
             sols += 1
             if first is None:
                 first = Labeling(tuple(labels))
-            if not find_all:
+            if not cfg.find_all:
                 break
         else:
+            s = start[v]
+            mask = free >> s << s
+            if head[v] != v:
+                # The head has color 0, so its label's parity is color 0's;
+                # colors differ across an edge, so every weight is odd.
+                mask &= parity[(labels[head[v]] ^ coloring[v]) & 1]
             ev = earlier[v]
-            step = stride[v]
-            x = next_label[v]
-            while x < limit:
-                if not used_label[x]:
-                    for u in ev:
-                        w = x - labels[u]
-                        if w < 0:
-                            w = -w
-                        # w is odd: u < v, so v is not its component's head,
-                        # and x and labels[u] have the head label's parity
-                        # flipped by their colors, which differ across an edge.
-                        if used_weight[w]:
-                            # Release the weights marked before neighbour u.
-                            for t in ev:
-                                if t == u:
-                                    break
-                                used_weight[abs(x - labels[t])] = 0
-                            break
-                        used_weight[w] = 1
-                    else:
-                        break
-                x += step
-            if x < limit:
+            for u in ev:
+                a = labels[u]
+                # Labels a + w and a - w for each used weight w.
+                mask &= ~((used << a) | (mirrored >> (limit - a)))
+            for t, u in combinations(ev, 2):
+                # Two neighbours at equal distance would give the same weight.
+                mask &= ~(1 << ((labels[t] + labels[u]) >> 1))
+            if mask:
                 if nodes == budget:
-                    cut = True
-                    break
+                    return first, nodes, sols, True
                 nodes += 1
-                used_label[x] = 1
+                x = (mask & -mask).bit_length() - 1
                 labels[v] = x
-                next_label[v] = x + step
+                start[v] = x + 1
+                free ^= 1 << x
+                for u in ev:
+                    w = abs(x - labels[u])
+                    used |= 1 << w
+                    mirrored |= 1 << (limit - w)
                 v += 1
-                if v < nv:
-                    if stride[v] == 1:
-                        next_label[v] = 0
-                    else:
-                        # The head has color 0: its label's parity is color 0's.
-                        next_label[v] = (labels[head[v]] ^ coloring[v]) & 1
+                start[v] = 0
                 continue
         # Backtrack one depth: free that vertex's label and its weights.
         v -= 1
         if v >= 0:
             x = labels[v]
-            used_label[x] = 0
+            free |= 1 << x
             for u in earlier[v]:
-                used_weight[abs(x - labels[u])] = 0
-    return first, nodes, sols, cut
+                w = abs(x - labels[u])
+                used ^= 1 << w
+                mirrored ^= 1 << (limit - w)
+    return first, nodes, sols, False
 
 
 def _extract_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from oddgraceful import (
 )
 from oddgraceful.search import _two_color
 
+from reference_pruned_search import _enumerate as reference_enumerate
 from reference_search import reference_labelings
 from strategies import small_graphs
 
@@ -191,12 +192,32 @@ def test_find_all_under_budget_reports_partial_count():
     assert 0 < cut.solutions_found <= total.solutions_found
 
 
-def test_union_4_3_find_all_pinned_counts():
-    g = make_union(FamilySpec(4, 3))
+@pytest.mark.parametrize(
+    "g, solutions, nodes, labels",
+    [
+        (make_union(FamilySpec(4, 2)), 192, 1772, (0, 3, 2, 9, 1, 6)),
+        (make_union(FamilySpec(4, 3)), 960, 10440, (0, 3, 2, 11, 6, 1, 8)),
+        (make_union(FamilySpec(4, 4)), 4992, 59772, (0, 3, 2, 13, 1, 10, 5, 12)),
+        (make_union(FamilySpec(4, 5)), 24896, 352160, (0, 3, 2, 15, 1, 12, 5, 14, 9)),
+        (make_union(FamilySpec(6, 2)), 6096, 35512, (0, 1, 4, 9, 2, 13, 3, 12)),
+        (make_union(FamilySpec(6, 3)), 21792, 258364, (0, 1, 4, 9, 2, 15, 3, 14, 5)),
+        (make_union(FamilySpec(6, 4)), 128208, 1842240, (0, 1, 4, 9, 2, 17, 3, 16, 5, 14)),
+        (make_union(FamilySpec(8, 2)), 117568, 1040264, (0, 1, 4, 11, 6, 15, 2, 17, 3, 14)),
+        (make_cycle(8), 2880, 111532, (0, 1, 8, 3, 14, 5, 2, 15)),
+        (make_path(8), 2232, 28144, (0, 13, 2, 1, 6, 3, 12, 5)),
+        (make_path(9), 10752, 161788, (0, 15, 2, 1, 6, 3, 14, 5, 12)),
+    ],
+    ids=["U4-2", "U4-3", "U4-4", "U4-5", "U6-2", "U6-3", "U6-4", "U8-2", "C8", "P8", "P9"],
+)
+def test_find_all_pinned_counts(g, solutions, nodes, labels):
+    # The paper's first step, C_m + P_n for small even m, counted instead of
+    # labeled by hand. The counts are those of the per-label scan that the
+    # candidate masks replaced (tests/reference_pruned_search.py).
+    # union(4,7) gives 776 832 solutions in 14 440 672 nodes, too slow here.
     out = search_odd_graceful(g, SearchConfig(find_all=True))
     assert out.verdict is SearchVerdict.FOUND
-    assert out.solutions_found == len(set(reference_labelings(g))) == 960
-    assert out.nodes_explored == 10440
+    assert (out.solutions_found, out.nodes_explored) == (solutions, nodes)
+    assert out.labeling == Labeling(labels)
 
 
 def test_find_all_memory_does_not_grow_with_solutions():
@@ -280,6 +301,22 @@ def test_two_color_head_is_smallest_vertex_of_component(g):
     assert all(coloring[a] != coloring[b] for a, b in g.edges)
     assert coloring == parity_precheck(g)[0]
 
+
+def test_search_memory_is_linear_in_vertices_and_edges():
+    # O(V + q): no candidate mask or other state is kept per depth. The
+    # search traces about 1.8 MiB here; a mask cached per depth, 12 MiB or more.
+    g = make_path(20_000)
+    g.adjacency  # cached on the graph, which is the input, not search state
+    tracemalloc.start()
+    try:
+        out = search_odd_graceful(g, SearchConfig(node_budget=2_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.verdict is SearchVerdict.BUDGET_EXCEEDED
+    assert peak < 4 * 1024 * 1024
+
+
 def test_deep_path_stops_at_budget():
     out = search_odd_graceful(make_path(1500), SearchConfig(node_budget=5000))
     assert out.verdict is SearchVerdict.BUDGET_EXCEEDED
@@ -339,6 +376,31 @@ def test_find_all_agrees_with_reference_enumerator(g):
         assert out.labeling is None
     for labeling in reference:
         assert verify_odd_graceful(g, labeling).ok
+
+
+def reference_pruned_outcome(g, cfg):
+    """search_odd_graceful's verdict rules around the pruned reference loop."""
+    coloring, head, odd_cycle = _two_color(g)
+    if g.vertex_count > 2 * g.edge_count or odd_cycle is not None:
+        return SearchVerdict.EXHAUSTED_NOT_FOUND, None, 0, 0
+    first, nodes, sols, cut = reference_enumerate(g, cfg, coloring, head)
+    if cut:
+        verdict = SearchVerdict.BUDGET_EXCEEDED
+    else:
+        verdict = SearchVerdict.FOUND if sols else SearchVerdict.EXHAUSTED_NOT_FOUND
+    return verdict, first, nodes, sols
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_vertices=8), st.booleans(), st.none() | st.integers(0, 500))
+def test_search_matches_pruned_reference(g, find_all, budget):
+    # nodes_explored is in every search report, so it must not change either.
+    # Unbudgeted, a dense bipartite graph such as K4,4 runs for minutes.
+    assume(budget is not None or g.edge_count <= 10)
+    cfg = SearchConfig(node_budget=budget, find_all=find_all)
+    out = search_odd_graceful(g, cfg)
+    got = (out.verdict, out.labeling, out.nodes_explored, out.solutions_found)
+    assert got == reference_pruned_outcome(g, cfg)
 
 
 @settings(max_examples=25, deadline=None)
