@@ -7,7 +7,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import add, index, itemgetter, mul, ne, sub
+from operator import add, index, mul, ne, sub
 
 from .errors import ValidationError
 
@@ -36,8 +36,9 @@ class Graph:
 
     Edges keep their construction order and endpoint orientation, so equality
     between graphs is exact. They are stored as two array('q') endpoint
-    columns, _tails and _heads; `edges`, the tuple of (tail, head) int pairs,
-    is built from them on first use and cached. Instances never mutate after
+    columns, _tails and _heads, filled and validated by _EdgeColumns however
+    the graph is built; `edges`, the tuple of (tail, head) int pairs, is
+    built from them on first use and cached. Instances never mutate after
     construction and can be shared freely between threads or processes.
     """
 
@@ -49,31 +50,23 @@ class Graph:
         # index() refuses floats and strings, and turns bools and other
         # __index__ ints into the int they stand for.
         try:
-            pairs = [(index(a), index(b)) for a, b in edges]
+            ends = [index(end) for a, b in edges for end in (a, b)]
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
         n = _vertex_count(vertex_count)
-        try:
-            tails = array("q", map(itemgetter(0), pairs))
-            heads = array("q", map(itemgetter(1), pairs))
-        except OverflowError:  # an id past 64 bits is outside 0..n-1 for every allowed n
-            raise _first_fault(n, pairs) from None
-        self._adopt(n, tails, heads)
+        columns = _EdgeColumns(n)
+        columns.add(ends[0::2], ends[1::2])
+        self._adopt(n, columns)
 
-    def _adopt(self, n: int, tails: array, heads: array, facts: _EdgeFacts | None = None) -> None:
+    def _adopt(self, n: int, columns: _EdgeColumns) -> None:
         """Take the columns as this graph's edges once the facts gathered
-        from them fit n; only on a fault does the per-edge loop run, to name
-        the first. Without facts, the columns are fed to new ones whole. The
-        edge-list parser passes the facts it fed a slice at a time."""
-        if facts is None:
-            facts = _EdgeFacts(n)
-            facts.add(tails, heads)
-        assert facts.count == len(tails), "every edge is fed to the facts once"
-        if not facts.fit(n):
-            raise _first_fault(n, zip(tails, heads))
+        with them fit n; only on a fault does the per-edge loop run, to name
+        the first."""
+        if not columns.fit(n):
+            raise _first_fault(n, zip(columns.tails, columns.heads))
         object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "_tails", tails)
-        object.__setattr__(self, "_heads", heads)
+        object.__setattr__(self, "_tails", columns.tails)
+        object.__setattr__(self, "_heads", columns.heads)
 
     def __hash__(self):
         return hash((self.vertex_count, self._tails.tobytes(), self._heads.tobytes()))
@@ -98,51 +91,72 @@ class Graph:
         return tuple(tuple(ns) for ns in nbrs)
 
 
-def _graph(vertex_count: int, tails: array, heads: array, facts: _EdgeFacts | None = None) -> Graph:
-    """The Graph with these endpoint columns, validated like any other; the
-    edge-list parser and the builders hand their arrays over uncopied, the
-    parser with the facts it gathered from every edge it appended."""
-    g = Graph.__new__(Graph)
-    g._adopt(_vertex_count(vertex_count), tails, heads, facts)
-    return g
+def _graph(vertex_count: int, tails, heads) -> Graph:
+    """The Graph with the edges (tails[i], heads[i]), validated like any
+    other; the builders hand their array('q') columns over uncopied."""
+    columns = _EdgeColumns(vertex_count)
+    columns.add(tails, heads)
+    return columns.graph(vertex_count)
 
 
-class _EdgeFacts:
-    """What validating a graph needs to know of its edges, gathered a chunk
-    at a time by C-level passes over ints that already exist: the least and
-    the greatest endpoint (0 and -1 before any edge), whether some edge is a
-    self-loop, the edge count, and the set of orientation-free keys
-    (a + b)*base + |a - b|, in which a duplicate is a key seen twice.
+class _EdgeColumns:
+    """A graph's two endpoint columns, tails and heads, filled a chunk at a
+    time, with what validating them needs to know, gathered by C-level passes
+    over each chunk's ints before they are appended: the least and the
+    greatest endpoint (0 and -1 before any edge), whether some edge is a
+    self-loop, and the set of orientation-free keys (a + b)*base + |a - b|,
+    in which a duplicate is a key seen twice. The columns are array('q')
+    until an id past their 64 bits turns up; they are lists from then on,
+    and such an id fails every vertex count Graph allows.
 
     The keys are unique while both ends lie in 0..base-1. So base is the
     given vertex count when it is one Graph allows, else MAX_VERTICES, which
     bounds every allowed count; an end outside 0..n-1 fails fit's range test
     whatever its keys."""
 
-    __slots__ = ("base", "low", "high", "loop", "count", "keys")
+    __slots__ = ("base", "low", "high", "loop", "keys", "tails", "heads")
 
     def __init__(self, vertex_count: int | None = None):
         allowed = vertex_count is not None and 0 <= vertex_count <= MAX_VERTICES
         self.base = vertex_count if allowed else MAX_VERTICES
-        self.low, self.high, self.loop, self.count = 0, -1, False, 0
+        self.low, self.high, self.loop = 0, -1, False
         self.keys: set[int] = set()
+        self.tails, self.heads = array("q"), array("q")
 
     def add(self, tails, heads) -> None:
-        """Feed the edges (tails[i], heads[i]): two equal-length int sequences."""
+        """Append the edges (tails[i], heads[i]): two equal-length int sequences."""
         if not tails:
             return
         low, high = min(min(tails), min(heads)), max(max(tails), max(heads))
-        if self.count:
+        count = len(self.tails)
+        if count:
             low, high = min(low, self.low), max(high, self.high)
         self.low, self.high = low, high
         self.loop = self.loop or not all(map(ne, tails, heads))
-        self.count += len(tails)
         self.keys.update(map(add, map(mul, map(add, tails, heads), repeat(self.base)),
                              map(abs, map(sub, tails, heads))))
+        if type(tails) is not array:  # a builder's columns are arrays already
+            try:
+                tails, heads = array("q", tails), array("q", heads)
+            except OverflowError:
+                # An id past 64 bits fails every vertex count Graph allows;
+                # lists take this chunk and every later one.
+                self.tails, self.heads = list(self.tails), list(self.heads)
+        if count:
+            self.tails += tails
+            self.heads += heads
+        else:  # the first chunk becomes the columns, uncopied
+            self.tails, self.heads = tails, heads
 
     def fit(self, n: int) -> bool:
-        """Whether the edges fed are in 0..n-1, loop-free and distinct."""
-        return 0 <= self.low and self.high < n and not self.loop and len(self.keys) == self.count
+        """Whether the edges added are in 0..n-1, loop-free and distinct."""
+        return 0 <= self.low and self.high < n and not self.loop and len(self.keys) == len(self.tails)
+
+    def graph(self, vertex_count) -> Graph:
+        """The Graph of these columns, which it takes uncopied."""
+        g = Graph.__new__(Graph)
+        g._adopt(_vertex_count(vertex_count), self)
+        return g
 
 
 def _vertex_count(value) -> int:

@@ -12,18 +12,15 @@ Edge-list format (read and write)
     and one json.loads of the slice, its spaces and newlines made commas,
     turns all its ids into ints in C (_plain_endpoints). Any other slice,
     or one the decoder refuses (leading zeros, more digits than CPython
-    converts) or with an id past 64 bits, goes to the per-line loop, which
-    defines the format and names the faulty line. Graph validation reads
-    each plain slice's decoded ints, and each per-line slice's new column
-    entries, as they come (graph._EdgeFacts): no plain slice's id is read
-    back out of the columns. On 2 cores and CPython 3.11.7 a verify-200k
-    graph file (q = 200 000) parses, validation included, in 0.096 s
-    against 0.17 s line by line; its \\r\\n copy, read line by line
-    throughout, takes 0.18 s.
+    converts), goes to the per-line loop, which defines the format and names
+    the faulty line. Either way the slice's ints go to the graph's columns in
+    one graph._EdgeColumns.add, which also feeds the validation facts. On 2
+    cores and CPython 3.11.7 a verify-200k graph file (q = 200 000) parses,
+    validation included, in 0.096 s against 0.17 s line by line; its \\r\\n
+    copy, read line by line throughout, takes 0.18 s.
     A vertex count above graph.MAX_VERTICES (2**22) raises ValidationError.
-    The endpoints go straight into the graph's two array('q') columns; an id
-    past their 64 bits fails like any id out of range, or, without the
-    header, as a vertex count past the bound.
+    An id past the 64 bits of the array('q') columns fails like any id out
+    of range, or, without the header, as a vertex count past the bound.
 
 Report format (write, parse for labeling documents)
     JSON object with a fixed envelope and a kind-specific payload:
@@ -58,13 +55,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 from ._version import __version__
 from .errors import ParseError, ValidationError
-from .graph import Graph, _EdgeFacts, _graph
+from .graph import Graph, _EdgeColumns
 from .labeling import (
     VIOLATION_KINDS,
     Labeling,
@@ -80,61 +76,46 @@ REPORT_VERSION = 2
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; malformed lines raise ParseError with the
     line number, structural problems (self-loops, duplicates, ids beyond the
-    declared vertex count) raise ValidationError. The endpoints are appended
-    to the graph's tails and heads columns; no pair is built per edge. The
-    validation facts are fed from each slice as it is read, their keys based
-    on the header's vertex count, or on MAX_VERTICES without a header."""
+    declared vertex count) raise ValidationError. Each slice's endpoint ints,
+    the JSON decoder's for a plain slice or those the per-line loop reads,
+    are added to the graph's columns in one call, which also feeds the
+    validation facts, their keys based on the header's vertex count, or on
+    MAX_VERTICES without a header; no pair is built per edge."""
     vertex_count: int | None = None
-    tails, heads = array("q"), array("q")
-    facts = _EdgeFacts()
+    edges = _EdgeColumns()
     line_no = 0
     for piece in _slices(text):
         ends = _plain_endpoints(piece)
         if ends is not None:
-            # The facts read the decoder's ints, before the columns hold them.
-            slice_tails, slice_heads = ends[0::2], ends[1::2]
-            facts.add(slice_tails, slice_heads)
-            tails += array("q", slice_tails)
-            heads += array("q", slice_heads)
-            line_no += len(slice_tails)
-            continue
-        start = len(tails)
-        for line_no, raw in enumerate(piece.splitlines(), start=line_no + 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "graph":
-                if vertex_count is not None or tails:
-                    raise ParseError("header must be the first content line", line_no)
+            line_no += len(ends) // 2
+        else:
+            ends = []
+            for line_no, raw in enumerate(piece.splitlines(), start=line_no + 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if parts[0] == "graph":
+                    if vertex_count is not None or ends or edges.tails:
+                        raise ParseError("header must be the first content line", line_no)
+                    if len(parts) != 2:
+                        raise ParseError("header form is 'graph <vertex_count>'", line_no)
+                    try:
+                        vertex_count = int(parts[1])
+                    except ValueError:
+                        raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
+                    edges = _EdgeColumns(vertex_count)  # no edge has been added yet
+                    continue
                 if len(parts) != 2:
-                    raise ParseError("header form is 'graph <vertex_count>'", line_no)
+                    raise ParseError(f"expected two endpoints, got {line!r}", line_no)
                 try:
-                    vertex_count = int(parts[1])
+                    ends += int(parts[0]), int(parts[1])
                 except ValueError:
-                    raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
-                facts = _EdgeFacts(vertex_count)  # no edge has been fed yet
-                continue
-            if len(parts) != 2:
-                raise ParseError(f"expected two endpoints, got {line!r}", line_no)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"endpoints must be integers, got {line!r}", line_no) from None
-            try:
-                tails.append(a)
-                heads.append(b)
-            except OverflowError:
-                # An id past 64 bits fails every vertex count Graph allows.
-                # Lists take the rest, so later lines still raise their
-                # ParseError; plain slices extend them like the arrays.
-                tails, heads = [*tails[: len(heads)], a], [*heads, b]
-        facts.add(tails[start:], heads[start:])
+                    raise ParseError(f"endpoints must be integers, got {line!r}", line_no) from None
+        edges.add(ends[0::2], ends[1::2])
     if vertex_count is None:
-        vertex_count = 1 + facts.high
-    if type(tails) is list:
-        return Graph(vertex_count, zip(tails, heads))
-    return _graph(vertex_count, tails, heads, facts)
+        vertex_count = 1 + edges.high
+    return edges.graph(vertex_count)
 
 
 def _slices(text: str, size: int = 1 << 12):
@@ -161,15 +142,13 @@ def _plain_endpoints(piece: str) -> list[int] | None:
     which the per-line loop reads. The translate compare proves the shape of
     each line, and the C JSON decoder converts the whole slice. A slice goes
     to the loop too if the decoder refuses it (leading zeros, more digits
-    than CPython converts) or an id is past the 64 bits of an array('q')
-    column, so that the caller's conversion cannot fail."""
+    than CPython converts)."""
     if piece[-1:] != "\n" or piece.translate(_DROP_DIGITS) != " \n" * piece.count("\n"):
         return None
     try:
-        ends = json.loads("[" + piece[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        return json.loads("[" + piece[:-1].replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:
         return None
-    return None if max(ends) >> 63 else ends
 
 
 def emit_edge_list(g: Graph) -> str:

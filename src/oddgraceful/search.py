@@ -5,10 +5,11 @@ candidate labels in ascending numeric order, so the first labeling found is
 the lexicographically least solution read in vertex-id order and the whole
 run is deterministic. Pruning: a vertex's candidates are one bit mask, the
 free labels of its color's parity minus those that would give an edge to a
-labeled neighbour a used weight or the weight of another such edge; the
-coloring makes every weight odd. Odd weights force opposite label parity
-across every edge, so a graph containing an odd cycle has no labeling at
-all; such graphs are rejected immediately with a witness cycle.
+labeled neighbour a used weight, and the lowest of them whose edges to its
+labeled neighbours have distinct weights is taken; the coloring makes every
+weight odd. Odd weights force opposite label parity across every edge, so a
+graph containing an odd cycle has no labeling at all; such graphs are
+rejected immediately with a witness cycle.
 A graph with more vertices than the 2q labels 0..2q-1 has none either, by
 pigeonhole, and is rejected before anything is allocated.
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ValidationError
 from .graph import Graph, _integer
@@ -138,7 +138,9 @@ def _enumerate(g, cfg, coloring, head):
     there; coloring and head come from _two_color. Bit x of free is set while
     label x is unused, and bits w of used and limit - w of mirrored are set
     for each weight w in use. Each visit of a depth builds its candidate mask
-    from these and commits the lowest bit; nothing is kept per depth.
+    from these and pops its lowest bit until one gives distinct weights to
+    the vertex's labeled neighbours, and commits that; nothing is kept per
+    depth.
 
     Returns (first_labeling, nodes, solution_count, budget_cut); a node is
     counted each time a candidate label survives all filters and is committed.
@@ -178,14 +180,16 @@ def _enumerate(g, cfg, coloring, head):
                 a = labels[u]
                 # Labels a + w and a - w for each used weight w.
                 mask &= ~((used << a) | (mirrored >> (limit - a)))
-            for t, u in combinations(ev, 2):
+            while mask:
+                x = (mask & -mask).bit_length() - 1
+                if len(ev) < 2 or len({abs(x - labels[u]) for u in ev}) == len(ev):
+                    break
                 # Two neighbours at equal distance would give the same weight.
-                mask &= ~(1 << ((labels[t] + labels[u]) >> 1))
+                mask ^= 1 << x
             if mask:
                 if nodes == budget:
                     return first, nodes, sols, True
                 nodes += 1
-                x = (mask & -mask).bit_length() - 1
                 labels[v] = x
                 start[v] = x + 1
                 free ^= 1 << x

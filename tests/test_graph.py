@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oddgraceful import (
@@ -213,6 +213,12 @@ def raw_edge_lists(draw):
 
 
 @given(raw_edge_lists())
+# Ids past the 64 bits of an array('q') column, first in either column or
+# below -2**63, and both at once.
+@example((3, ((0, 1), (2**63, 1))))
+@example((3, ((1, 1), (0, 2**64))))
+@example((4, ((0, 1), (1, 0), (-(2**63) - 1, 2))))
+@example((3, ((0, 1), (2**70, 2**64))))
 def test_graph_validation_matches_int_key_reference(case):
     # Graph must accept exactly what the int-key loop accepted, and otherwise
     # fail on the same first fault with the same message.
