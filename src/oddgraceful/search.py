@@ -119,12 +119,7 @@ def search_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchO
     if odd_cycle is not None:
         return _none_exists(odd_cycle)
 
-    first, nodes, sols, cut = _enumerate(g, cfg, coloring, head)
-    if cut:
-        verdict = SearchVerdict.BUDGET_EXCEEDED
-    else:
-        verdict = SearchVerdict.FOUND if sols else SearchVerdict.EXHAUSTED_NOT_FOUND
-    return SearchOutcome(verdict, first, nodes, sols)
+    return _enumerate(g, cfg, coloring, head)
 
 
 def _none_exists(witness: tuple[int, ...] | None = None) -> SearchOutcome:
@@ -134,18 +129,18 @@ def _none_exists(witness: tuple[int, ...] | None = None) -> SearchOutcome:
 
 def _enumerate(g, cfg, coloring, head):
     """Depth-first enumeration core: one loop over an explicit stack, where
-    depth v labels vertex v and start[v] is the least label still to try
-    there; coloring and head come from _two_color. Bit x of free is set while
-    label x is unused, and bits w of used and limit - w of mirrored are set
-    for each weight w in use. Each visit of a depth builds its candidate mask
-    from these and pops its lowest bit until one gives distinct weights to
-    the vertex's labeled neighbours, and commits that; nothing is kept per
-    depth.
+    depth v labels vertex v and resumes at labels[v] + 1, which is 0 while
+    labels[v] is -1; coloring and head come from _two_color. Bit x of free is
+    set while label x is unused, and bits limit + w and limit - w of weights
+    are set for each weight w in use, so a neighbour labeled a forbids the
+    labels weights >> (limit - a). Each visit of a depth builds its candidate
+    mask from these and pops its lowest bit until one gives distinct weights
+    to the vertex's labeled neighbours, and commits that; a depth that runs
+    out resets its label to -1. Nothing else is kept per depth.
 
-    Returns (first_labeling, nodes, solution_count, budget_cut); a node is
-    counted each time a candidate label survives all filters and is committed.
-    Only the first solution becomes a Labeling; the rest are only counted.
-    Requires vertex_count <= 2 * edge_count.
+    Returns the SearchOutcome; a node is counted each time a candidate label
+    survives all filters and is committed. Only the first solution becomes a
+    Labeling; the rest are only counted. Requires vertex_count <= 2 * edge_count.
     """
     nv, limit = g.vertex_count, 2 * g.edge_count
     earlier = [tuple(u for u in ns if u < v) for v, ns in enumerate(g.adjacency)]
@@ -153,9 +148,8 @@ def _enumerate(g, cfg, coloring, head):
     parity = (even, even << 1)
 
     labels = [-1] * nv
-    start = [0] * (nv + 1)
     free = (1 << limit) - 1
-    used = mirrored = 0
+    weights = 0
     budget = cfg.node_budget
     nodes = sols = 0
     first: Labeling | None = None
@@ -169,7 +163,7 @@ def _enumerate(g, cfg, coloring, head):
             if not cfg.find_all:
                 break
         else:
-            s = start[v]
+            s = labels[v] + 1
             mask = free >> s << s
             if head[v] != v:
                 # The head has color 0, so its label's parity is color 0's;
@@ -177,9 +171,8 @@ def _enumerate(g, cfg, coloring, head):
                 mask &= parity[(labels[head[v]] ^ coloring[v]) & 1]
             ev = earlier[v]
             for u in ev:
-                a = labels[u]
-                # Labels a + w and a - w for each used weight w.
-                mask &= ~((used << a) | (mirrored >> (limit - a)))
+                # A neighbour labeled a forbids a + w and a - w for each used w.
+                mask &= ~(weights >> (limit - labels[u]))
             while mask:
                 x = (mask & -mask).bit_length() - 1
                 if len(ev) < 2 or len({abs(x - labels[u]) for u in ev}) == len(ev):
@@ -188,18 +181,16 @@ def _enumerate(g, cfg, coloring, head):
                 mask ^= 1 << x
             if mask:
                 if nodes == budget:
-                    return first, nodes, sols, True
+                    return SearchOutcome(SearchVerdict.BUDGET_EXCEEDED, first, nodes, sols)
                 nodes += 1
                 labels[v] = x
-                start[v] = x + 1
                 free ^= 1 << x
                 for u in ev:
                     w = abs(x - labels[u])
-                    used |= 1 << w
-                    mirrored |= 1 << (limit - w)
+                    weights |= (1 << (limit + w)) | (1 << (limit - w))
                 v += 1
-                start[v] = 0
                 continue
+            labels[v] = -1
         # Backtrack one depth: free that vertex's label and its weights.
         v -= 1
         if v >= 0:
@@ -207,9 +198,9 @@ def _enumerate(g, cfg, coloring, head):
             free |= 1 << x
             for u in earlier[v]:
                 w = abs(x - labels[u])
-                used ^= 1 << w
-                mirrored ^= 1 << (limit - w)
-    return first, nodes, sols, False
+                weights ^= (1 << (limit + w)) | (1 << (limit - w))
+    verdict = SearchVerdict.FOUND if sols else SearchVerdict.EXHAUSTED_NOT_FOUND
+    return SearchOutcome(verdict, first, nodes, sols)
 
 
 def _extract_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oddgraceful import (
@@ -393,6 +393,16 @@ def reference_pruned_outcome(g, cfg):
 
 @settings(max_examples=100, deadline=None)
 @given(small_graphs(max_vertices=8), st.booleans(), st.none() | st.integers(0, 500))
+# Vertex 1 has no earlier neighbour and does not head its component, so only
+# the parity mask restricts it: 12 nodes, 4 solutions.
+@example(Graph(3, [(0, 2), (2, 1)]), True, None)
+# The centre has four earlier neighbours, so the pick loop drops candidates:
+# 176 nodes, 48 solutions.
+@example(Graph(5, [(i, 4) for i in range(4)]), True, None)
+# q = 30, so weights reach limit +- 59, the top of the weight mask.
+@example(Graph(31, [(0, i) for i in range(1, 31)]), False, 500)
+# Thirty earlier neighbours, and a budget cut at 500 nodes.
+@example(Graph(31, [(i, 30) for i in range(30)]), True, 500)
 def test_search_matches_pruned_reference(g, find_all, budget):
     # nodes_explored is in every search report, so it must not change either.
     # Unbudgeted, a dense bipartite graph such as K4,4 runs for minutes.
