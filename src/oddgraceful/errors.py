@@ -8,7 +8,8 @@ class OddGracefulError(Exception):
 class ValidationError(OddGracefulError, ValueError):
     """A value breaks a rule: a size, bound or budget that is not an integer or
     is out of range, a graph invariant (self-loop, duplicate edge, bad id), a
-    labeling that does not fit its graph, or a report that contradicts itself."""
+    labeling that does not fit its graph, a report that contradicts itself,
+    or an int with more digits than the interpreter writes."""
 
 
 class ParseError(OddGracefulError, ValueError):

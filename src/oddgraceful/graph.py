@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import add, index, mul, ne, sub
+from operator import add, index, mul, sub
 
 from .errors import ValidationError
 
 # Largest vertex count of a Graph or FamilySpec, checked before any per-vertex
 # allocation; about twice the largest family graph the acceptance tests build.
 MAX_VERTICES = 2**22
+_LOOP_KEYS = 2 * MAX_VERTICES  # the edge keys below it are self-loops' (_EdgeColumns)
 
 
 def _integer(value, what: str) -> int:
@@ -21,6 +23,15 @@ def _integer(value, what: str) -> int:
         return index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _decimal(n: int) -> str:
+    """n as a message shows it: str(n), or, past the interpreter's limit on
+    the digits str() writes (4 300 by default), a stand-in naming that limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<more than {sys.get_int_max_str_digits()} digits>"
 
 
 def _cycle_order(value) -> int:  # FamilySpec's rule, which min_path_order shares
@@ -53,15 +64,15 @@ class Graph:
             ends = [index(end) for a, b in edges for end in (a, b)]
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"edges must be pairs of integer vertex ids: {exc}") from None
-        n = _vertex_count(vertex_count)
-        columns = _EdgeColumns(n)
+        columns = _EdgeColumns()
         columns.add(ends[0::2], ends[1::2])
-        self._adopt(n, columns)
+        self._adopt(vertex_count, columns)
 
-    def _adopt(self, n: int, columns: _EdgeColumns) -> None:
-        """Take the columns as this graph's edges once the facts gathered
-        with them fit n; only on a fault does the per-edge loop run, to name
-        the first."""
+    def _adopt(self, vertex_count, columns: _EdgeColumns) -> None:
+        """Take the columns as this graph's edges once the vertex count is
+        checked and the facts gathered with the columns fit it; only on a
+        fault does the per-edge loop run, to name the first."""
+        n = _vertex_count(vertex_count)
         if not columns.fit(n):
             raise _first_fault(n, zip(columns.tails, columns.heads))
         object.__setattr__(self, "vertex_count", n)
@@ -94,7 +105,7 @@ class Graph:
 def _graph(vertex_count: int, tails, heads) -> Graph:
     """The Graph with the edges (tails[i], heads[i]), validated like any
     other; the builders hand their array('q') columns over uncopied."""
-    columns = _EdgeColumns(vertex_count)
+    columns = _EdgeColumns()
     columns.add(tails, heads)
     return columns.graph(vertex_count)
 
@@ -103,23 +114,20 @@ class _EdgeColumns:
     """A graph's two endpoint columns, tails and heads, filled a chunk at a
     time, with what validating them needs to know, gathered by C-level passes
     over each chunk's ints before they are appended: the least and the
-    greatest endpoint (0 and -1 before any edge), whether some edge is a
-    self-loop, and the set of orientation-free keys (a + b)*base + |a - b|,
-    in which a duplicate is a key seen twice. The columns are array('q')
+    greatest endpoint (0 and -1 before any edge) and the set of keys
+    |a - b|*2M + (a + b), where M is MAX_VERTICES. The columns are array('q')
     until an id past their 64 bits turns up; they are lists from then on,
     and such an id fails every vertex count Graph allows.
 
-    The keys are unique while both ends lie in 0..base-1. So base is the
-    given vertex count when it is one Graph allows, else MAX_VERTICES, which
-    bounds every allowed count; an end outside 0..n-1 fails fit's range test
-    whatever its keys."""
+    Once fit's range test passes, both ends lie in 0..M-1, which bounds every
+    count Graph allows, so a + b < 2M: a key names its end pair in either
+    orientation, a repeated key is a duplicate edge and a key below 2M a
+    self-loop. No key depends on the vertex count."""
 
-    __slots__ = ("base", "low", "high", "loop", "keys", "tails", "heads")
+    __slots__ = ("low", "high", "keys", "tails", "heads")
 
-    def __init__(self, vertex_count: int | None = None):
-        allowed = vertex_count is not None and 0 <= vertex_count <= MAX_VERTICES
-        self.base = vertex_count if allowed else MAX_VERTICES
-        self.low, self.high, self.loop = 0, -1, False
+    def __init__(self):
+        self.low, self.high = 0, -1
         self.keys: set[int] = set()
         self.tails, self.heads = array("q"), array("q")
 
@@ -132,9 +140,8 @@ class _EdgeColumns:
         if count:
             low, high = min(low, self.low), max(high, self.high)
         self.low, self.high = low, high
-        self.loop = self.loop or not all(map(ne, tails, heads))
-        self.keys.update(map(add, map(mul, map(add, tails, heads), repeat(self.base)),
-                             map(abs, map(sub, tails, heads))))
+        self.keys.update(map(add, map(mul, map(abs, map(sub, tails, heads)), repeat(_LOOP_KEYS)),
+                             map(add, tails, heads)))
         if type(tails) is not array:  # a builder's columns are arrays already
             try:
                 tails, heads = array("q", tails), array("q", heads)
@@ -149,13 +156,15 @@ class _EdgeColumns:
             self.tails, self.heads = tails, heads
 
     def fit(self, n: int) -> bool:
-        """Whether the edges added are in 0..n-1, loop-free and distinct."""
-        return 0 <= self.low and self.high < n and not self.loop and len(self.keys) == len(self.tails)
+        """Whether the edges added are in 0..n-1 (n at most M), loop-free (no
+        key below 2M) and distinct (no key repeated)."""
+        return (0 <= self.low and self.high < n and min(self.keys, default=_LOOP_KEYS) >= _LOOP_KEYS
+                and len(self.keys) == len(self.tails))
 
     def graph(self, vertex_count) -> Graph:
         """The Graph of these columns, which it takes uncopied."""
         g = Graph.__new__(Graph)
-        g._adopt(_vertex_count(vertex_count), self)
+        g._adopt(vertex_count, self)
         return g
 
 
@@ -164,7 +173,7 @@ def _vertex_count(value) -> int:
     if n < 0:
         raise ValidationError("vertex count must be non-negative")
     if n > MAX_VERTICES:
-        raise ValidationError(f"vertex count {n} exceeds the maximum {MAX_VERTICES}")
+        raise ValidationError(f"vertex count {_decimal(n)} exceeds the maximum {MAX_VERTICES}")
     return n
 
 
@@ -205,7 +214,7 @@ class FamilySpec:
         if n < 2:
             raise ValidationError(f"path order must be at least 2, got {n}")
         if m + n > MAX_VERTICES:
-            raise ValidationError(f"cycle + path order must be <= {MAX_VERTICES}, got {m + n}")
+            raise ValidationError(f"cycle + path order must be <= {MAX_VERTICES}, got {_decimal(m + n)}")
 
     @property
     def edge_count(self) -> int:

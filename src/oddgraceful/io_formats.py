@@ -55,12 +55,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 
 from ._version import __version__
 from .errors import ParseError, ValidationError
-from .graph import Graph, _EdgeColumns
+from .graph import Graph, _EdgeColumns, _decimal
 from .labeling import (
     VIOLATION_KINDS,
     Labeling,
@@ -79,8 +81,7 @@ def parse_edge_list(text: str) -> Graph:
     declared vertex count) raise ValidationError. Each slice's endpoint ints,
     the JSON decoder's for a plain slice or those the per-line loop reads,
     are added to the graph's columns in one call, which also feeds the
-    validation facts, their keys based on the header's vertex count, or on
-    MAX_VERTICES without a header; no pair is built per edge."""
+    validation facts; no pair is built per edge."""
     vertex_count: int | None = None
     edges = _EdgeColumns()
     line_no = 0
@@ -104,7 +105,6 @@ def parse_edge_list(text: str) -> Graph:
                         vertex_count = int(parts[1])
                     except ValueError:
                         raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
-                    edges = _EdgeColumns(vertex_count)  # no edge has been added yet
                     continue
                 if len(parts) != 2:
                     raise ParseError(f"expected two endpoints, got {line!r}", line_no)
@@ -177,7 +177,7 @@ class LabelingDocument:
             raise ValidationError(f"labeling document lists {len(self.weights)} weights for edge_count {q}")
         if family is not None and sum(family) - 1 != q:
             raise ValidationError(
-                f"labeling document family {family} has {sum(family) - 1} edges, edge_count is {q}"
+                f"labeling document family {family} has {_decimal(sum(family) - 1)} edges, edge_count is {q}"
             )
 
 
@@ -260,7 +260,13 @@ def _report_parts(payload, digest=None) -> list[str]:
     texts = {}
     separator = "{"
     for key in sorted(body):
-        compact = json.dumps(body[key], sort_keys=True, separators=(",", ":"))
+        try:
+            compact = json.dumps(body[key], sort_keys=True, separators=(",", ":"))
+        except ValueError:  # an int past str()'s digit limit, such as a failing verify's weight
+            raise ValidationError(
+                f"cannot write the report: an integer in its {key} has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if hash_body:
             digest.update(f"{separator}{json.dumps(key)}:".encode())
             digest.update(compact.encode())
@@ -309,13 +315,21 @@ def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:
 def _dot_lines(g: Graph, labeling: Labeling | None = None):
     """emit_dot's text as an iterator of lines, each ending in a newline. Each
     edge's weight is computed as its line is laid out, but the labeling's
-    length is checked before this returns, so a labeling that does not fit g
-    raises ValidationError before the caller opens its output."""
+    length, and that its largest weight has no more digits than str()
+    writes, are checked before this returns, so a labeling that does not fit
+    g raises ValidationError before the caller opens its output."""
     if labeling is None:
         nodes = (f"  {v};\n" for v in range(g.vertex_count))
         edges = (f"  {a} -- {b};\n" for a, b in zip(g._tails, g._heads))
     else:
         labels = _total_labels(g.vertex_count, labeling)
+        ends = map(labels.__getitem__, g._tails), map(labels.__getitem__, g._heads)
+        try:
+            str(max(map(abs, map(sub, *ends)), default=0))
+        except ValueError:
+            raise ValidationError(
+                f"cannot write the DOT: an edge weight has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
         nodes = (f'  {v} [label="{x}"];\n' for v, x in enumerate(labels))
         edges = (
             f'  {a} -- {b} [label="{abs(labels[a] - labels[b])}"];\n'

@@ -543,6 +543,54 @@ def test_inconsistent_labeling_document_exits_usage(tmp_path, capsys, command, c
     assert err == f"error: {message}\n"
 
 
+# Python's limit on the digits that str() and the JSON codec convert: 4 300
+# by default, 0 for none; Pythons before 3.10.7 have no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+TOO_LONG = f"<more than {INT_DIGITS} digits>"
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this Python converts ints of any length")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # FamilySpec's m + n, one digit past the limit.
+        (["label", "--cycle", str(10**INT_DIGITS - 2), "--path", "2"],
+         f"cycle + path order must be <= {MAX_VERTICES}, got {TOO_LONG}"),
+        # The edge count of a document's family, one digit past the limit.
+        (["verify", "{graph}", "{family}"], f"has {TOO_LONG} edges, edge_count is 1"),
+        (["dot", "{graph}", "--labeling", "{family}"], f"has {TOO_LONG} edges, edge_count is 1"),
+        # Labels whose weight is one digit past the limit.
+        (["verify", "{graph}", "{spread}", "--out", "{out}"],
+         f"cannot write the report: an integer in its violations has more than {INT_DIGITS} digits"),
+        (["dot", "{graph}", "--labeling", "{spread}", "--out", "{out}"],
+         f"cannot write the DOT: an edge weight has more than {INT_DIGITS} digits"),
+        # The count a headerless edge list implies, one digit past the limit.
+        (["search", "{headerless}"], f"vertex count {TOO_LONG} exceeds the maximum {MAX_VERTICES}"),
+        (["dot", "{headerless}"], f"vertex count {TOO_LONG} exceeds the maximum {MAX_VERTICES}"),
+        (["verify", "{headerless}", "{family}"],
+         f"vertex count {TOO_LONG} exceeds the maximum {MAX_VERTICES}"),
+    ],
+    ids=["label", "verify-family", "dot-family", "verify-weight", "dot-weight",
+         "search-headerless", "dot-headerless", "verify-headerless"],
+)
+def test_integer_past_the_digit_limit_exits_usage(tmp_path, capsys, argv, message):
+    # An int that str() refuses to convert exits 64 with one error line, and
+    # nothing is written to stdout or to --out.
+    largest = 10**INT_DIGITS - 1
+    graph, family = write_p2_document(tmp_path, family={"cycle_order": largest, "path_order": largest})
+    spread = tmp_path / "spread.json"
+    spread.write_text(json.dumps({**P2_DOCUMENT, "labels": [largest, -largest], "ok": False}))
+    headerless = tmp_path / "headerless.txt"
+    headerless.write_text(f"0 {largest}\n")
+    out = tmp_path / "out"
+    files = {"graph": graph, "family": family, "spread": spread, "headerless": headerless, "out": out}
+    code, stdout, stderr = run_cli(capsys, *[arg.format(**files) for arg in argv])
+    assert (code, stdout) == (64, "")
+    assert stderr.startswith("error: ") and stderr.endswith(f"{message}\n")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def run_module(*args, cwd, timeout=60):
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
     return subprocess.run(

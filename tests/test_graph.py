@@ -11,6 +11,7 @@ from oddgraceful import (
     make_cycle,
     make_path,
     make_union,
+    parse_edge_list,
 )
 from oddgraceful.graph import MAX_VERTICES
 from oddgraceful.search import _two_color
@@ -154,6 +155,14 @@ def test_graph_is_immutable():
     g = make_path(3)
     with pytest.raises(AttributeError):
         g.vertex_count = 5
+
+
+def test_graph_hash_and_repr():
+    # Built through Graph(...), the parser and a builder, one graph is one set
+    # element; its repr rebuilds it.
+    g = make_path(3)
+    assert len({Graph(3, ((0, 1), (1, 2))), parse_edge_list("0 1\n1 2\n"), g}) == 1
+    assert eval(repr(g), {"Graph": Graph}) == g
 
 
 def test_adjacency():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from functools import partial
 from itertools import chain
@@ -279,19 +280,37 @@ def test_plain_slices_after_an_id_past_64_bits(header, tail):
         assert outcome[0] is ValidationError
 
 
+# Edges at the vertex bound, a negative id counting back from MAX_VERTICES,
+# with the error each must raise (None for a valid graph).
+BOUND_KEY_CASES = [
+    # (0, M-1) and (1, M-2) share a sum but not a difference.
+    (((0, -1), (1, -2)), None),
+    # (M-1, 0) repeats (0, M-1), and (M-1, M-2) repeats the largest sum.
+    (((0, -1), (-1, 0)), "duplicate edge (4194303, 0)"),
+    (((-2, -1), (-1, -2)), "duplicate edge (4194303, 4194302)"),
+    # The largest and the least self-loop key, 2M - 2 and 0.
+    (((-1, -1),), "self-loop at vertex 4194303"),
+    (((0, 0),), "self-loop at vertex 0"),
+    # A loop and an edge with the same sum differ in their keys.
+    (((-3, -1), (-2, -2)), "self-loop at vertex 4194302"),
+]
+
+
 @pytest.mark.parametrize("header", ["", f"graph {MAX_VERTICES}\n"])
 def test_duplicate_keys_at_the_vertex_bound(header):
     # With MAX_VERTICES vertices, declared or implied by the largest id, the
-    # orientation-free keys (a + b)*base + |a - b| still tell edges apart:
-    # (0, M-1) and (1, M-2) share a sum but not a difference, and (M-1, 0)
-    # repeats (0, M-1).
-    top = MAX_VERTICES - 1
-    g = parse_edge_list(f"{header}0 {top}\n1 {top - 1}\n")
-    assert g == Graph(MAX_VERTICES, ((0, top), (1, top - 1)))
-    with pytest.raises(ValidationError, match=rf"^duplicate edge \({top}, 0\)$"):
-        parse_edge_list(f"{header}0 {top}\n{top} 0\n")
-    with pytest.raises(ValidationError, match=rf"^duplicate edge \({top}, 0\)$"):
-        Graph(MAX_VERTICES, ((0, top), (top, 0)))
+    # orientation-free keys |a - b|*2M + (a + b) still tell edges apart, and
+    # a key below 2M is a self-loop's, whether the header is there or not.
+    for edges, message in BOUND_KEY_CASES:
+        edges = tuple((a % MAX_VERTICES, b % MAX_VERTICES) for a, b in edges)
+        text = header + "".join(f"{a} {b}\n" for a, b in edges)
+        n = MAX_VERTICES if header else 1 + max(map(max, edges))
+        if message is None:
+            assert parse_edge_list(text) == Graph(n, edges)
+            continue
+        for build in (partial(parse_edge_list, text), partial(Graph, n, edges)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 def test_parse_edge_list_at_benchmark_size():
@@ -321,8 +340,8 @@ def test_parse_edge_list_peak_memory():
     # The endpoints go into two array('q') columns, and the duplicate check
     # fills a set of int keys a slice at a time, freed when parse_edge_list
     # returns. This peaks at 3.45 MiB on CPython 3.11.7 (3.38 MiB on
-    # 3.10.13), set by the key set; with the keys of base MAX_VERTICES in
-    # place of the header's count it read 3.52 MiB. Without the key set the
+    # 3.10.13), set by the key set, whose keys |a - b|*2M + (a + b) read the
+    # same as the header-based keys before them. Without the key set the
     # parse peaked at 0.35 MiB, plain slices converted whole; split into
     # lines a slice at a time it read 0.64 MiB, and the whole splitlines
     # list 1.61 MiB. Holding 20 000 edge tuples, with their own set as the
@@ -757,6 +776,11 @@ def test_report_parts_with_fed_digest_equal_emit_report(payload, texts):
     for text in texts:
         digest.update(text.encode())
     assert "".join(_report_parts(payload, digest)) == emit_report(payload, "".join(texts))
+
+
+def test_emit_report_rejects_other_payloads():
+    with pytest.raises(TypeError, match="^cannot serialize object as a report$"):
+        emit_report(object())
 
 
 def test_emit_report_peak_memory():
