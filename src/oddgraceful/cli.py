@@ -9,8 +9,10 @@ budget-exceeded, and any bad command line, input or parameter exits 64.
 code. Below min_path_order, label takes label_short_path whatever --method
 says. verify, like dot --labeling, reads and parses the graph file before it
 reads the labeling file, so a bad graph is the error named when both inputs
-are bad, and each text is held only while it is hashed and parsed. Timing
-lives outside the package, in the benchmark under perfbench/.
+are bad, and each text is held only while it is hashed and parsed. verify's
+verdict proves its graph free of loops and repeated edges; only where it
+cannot does verify key every edge. Timing lives outside the package, in the
+benchmark under perfbench/.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
     LabelingDocument,
     _dot_lines,
+    _read_edge_list,
     _report_parts,
     parse_edge_list,
     parse_labeling_document,
 )
-from .labeling import Labeling, _family_weights, _verdict, verify_odd_graceful
+from .labeling import (DuplicateEdgeWeight, EdgeWeightEven, Labeling, _family_weights, _verdict,
+                       verify_odd_graceful)
 from .search import SearchConfig, SearchVerdict, search_odd_graceful
 
 EXIT_OK = 0
@@ -155,15 +159,37 @@ def _cmd_label(args) -> int:
 
 def _cmd_verify(args) -> int:
     # Each text is hashed as it is read and freed once it is parsed, so the
-    # two are never held at once.
+    # two are never held at once. Where the verdict cannot prove the graph
+    # simple, check_simple runs before any other error is named or written.
     digest = hashlib.sha256()
-    g = parse_edge_list(_read_hashed(args.graph_file, digest))
-    labeling = _labeling_for(g, _read_hashed(args.labeling_file, digest))
-    report = verify_odd_graceful(g, labeling)
+    columns, vertex_count = _read_edge_list(_read_hashed(args.graph_file, digest))
+    g = columns.unproven_graph(vertex_count)
+    try:
+        labeling = _labeling_for(g, _read_hashed(args.labeling_file, digest))
+        report = verify_odd_graceful(g, labeling)
+    except (OddGracefulError, OSError):
+        columns.check_simple(g.vertex_count)
+        raise
+    if _cites_a_graph_fault(report):
+        columns.check_simple(g.vertex_count)  # raises the first fault
     # Free the graph and labels before the report is laid out.
-    del g, labeling
+    del g, columns, labeling
     _write(args, _report_parts(report, digest))
     return EXIT_OK if report.ok else EXIT_INVALID
+
+
+def _cites_a_graph_fault(report) -> bool:
+    """Whether a report cites an even-weight edge (a, a), or an end pair twice,
+    in either orientation, among one repeated weight's edges (a loop there is
+    its own reverse): exactly when a graph in range has a loop or a repeat."""
+    for v in report.violations:
+        if type(v) is EdgeWeightEven and v.edge[0] == v.edge[1]:
+            return True
+        if type(v) is DuplicateEdgeWeight:
+            edges = set(v.edges)
+            if len(edges) < len(v.edges) or any((b, a) in edges for a, b in edges):
+                return True
+    return False
 
 
 def _cmd_search(args) -> int:

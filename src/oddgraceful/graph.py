@@ -47,8 +47,8 @@ class Graph:
 
     Edges keep their construction order and endpoint orientation, so equality
     between graphs is exact. They are stored as two array('q') endpoint
-    columns, _tails and _heads, filled and validated by _EdgeColumns however
-    the graph is built; `edges`, the tuple of (tail, head) int pairs, is
+    columns, _tails and _heads, filled and validated by _EdgeColumns (verify
+    proves them simple from its verdict); `edges`, the (tail, head) pairs, is
     built from them on first use and cached. Instances never mutate after
     construction and can be shared freely between threads or processes.
     """
@@ -67,13 +67,14 @@ class Graph:
         columns = _EdgeColumns()
         columns.add(ends[0::2], ends[1::2])
         self._adopt(vertex_count, columns)
+        columns.check_simple(self.vertex_count)
 
     def _adopt(self, vertex_count, columns: _EdgeColumns) -> None:
         """Take the columns as this graph's edges once the vertex count is
-        checked and the facts gathered with the columns fit it; only on a
-        fault does the per-edge loop run, to name the first."""
+        checked and every end is in range (check_simple proves the rest); only
+        on a fault does the per-edge loop run, to name the first."""
         n = _vertex_count(vertex_count)
-        if not columns.fit(n):
+        if not (0 <= columns.low and columns.high < n):
             raise _first_fault(n, zip(columns.tails, columns.heads))
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "_tails", columns.tails)
@@ -112,23 +113,22 @@ def _graph(vertex_count: int, tails, heads) -> Graph:
 
 class _EdgeColumns:
     """A graph's two endpoint columns, tails and heads, filled a chunk at a
-    time, with what validating them needs to know, gathered by C-level passes
-    over each chunk's ints before they are appended: the least and the
-    greatest endpoint (0 and -1 before any edge) and the set of keys
-    |a - b|*2M + (a + b), where M is MAX_VERTICES. The columns are array('q')
-    until an id past their 64 bits turns up; they are lists from then on,
-    and such an id fails every vertex count Graph allows.
+    time, with the least and the greatest endpoint (0 and -1 before any
+    edge), found by C-level passes over each chunk's ints before they are
+    appended. The columns are array('q') until an id past their 64 bits
+    turns up; they are lists from then on, and such an id fails every vertex
+    count Graph allows.
 
-    Once fit's range test passes, both ends lie in 0..M-1, which bounds every
-    count Graph allows, so a + b < 2M: a key names its end pair in either
-    orientation, a repeated key is a duplicate edge and a key below 2M a
-    self-loop. No key depends on the vertex count."""
+    Once the range test passes, both ends lie in 0..M-1, where M is
+    MAX_VERTICES and bounds every count Graph allows, so a + b < 2M: the key
+    |a - b|*2M + (a + b) names an end pair in either orientation, a repeated
+    key is a duplicate edge and a key below 2M a self-loop. check_simple
+    keys the whole columns in one pass. No key depends on the vertex count."""
 
-    __slots__ = ("low", "high", "keys", "tails", "heads")
+    __slots__ = ("low", "high", "tails", "heads")
 
     def __init__(self):
         self.low, self.high = 0, -1
-        self.keys: set[int] = set()
         self.tails, self.heads = array("q"), array("q")
 
     def add(self, tails, heads) -> None:
@@ -140,8 +140,6 @@ class _EdgeColumns:
         if count:
             low, high = min(low, self.low), max(high, self.high)
         self.low, self.high = low, high
-        self.keys.update(map(add, map(mul, map(abs, map(sub, tails, heads)), repeat(_LOOP_KEYS)),
-                             map(add, tails, heads)))
         if type(tails) is not array:  # a builder's columns are arrays already
             try:
                 tails, heads = array("q", tails), array("q", heads)
@@ -155,14 +153,24 @@ class _EdgeColumns:
         else:  # the first chunk becomes the columns, uncopied
             self.tails, self.heads = tails, heads
 
-    def fit(self, n: int) -> bool:
-        """Whether the edges added are in 0..n-1 (n at most M), loop-free (no
-        key below 2M) and distinct (no key repeated)."""
-        return (0 <= self.low and self.high < n and min(self.keys, default=_LOOP_KEYS) >= _LOOP_KEYS
-                and len(self.keys) == len(self.tails))
+    def check_simple(self, n: int) -> None:
+        """Raise the first fault unless the edges, all in 0..n-1 (n at most
+        M), are loop-free (no key below 2M) and distinct (no key repeated)."""
+        tails, heads = self.tails, self.heads
+        keys = set(map(add, map(mul, map(abs, map(sub, tails, heads)), repeat(_LOOP_KEYS)),
+                       map(add, tails, heads)))
+        if min(keys, default=_LOOP_KEYS) < _LOOP_KEYS or len(keys) < len(tails):
+            raise _first_fault(n, zip(tails, heads))
 
     def graph(self, vertex_count) -> Graph:
-        """The Graph of these columns, which it takes uncopied."""
+        """The Graph of these columns, which it takes uncopied, once checked."""
+        g = self.unproven_graph(vertex_count)
+        self.check_simple(g.vertex_count)
+        return g
+
+    def unproven_graph(self, vertex_count) -> Graph:
+        """graph() without check_simple, for cli verify alone, which proves
+        the graph simple from its verdict or else runs check_simple."""
         g = Graph.__new__(Graph)
         g._adopt(vertex_count, self)
         return g

@@ -14,10 +14,11 @@ Edge-list format (read and write)
     or one the decoder refuses (leading zeros, more digits than CPython
     converts), goes to the per-line loop, which defines the format and names
     the faulty line. Either way the slice's ints go to the graph's columns in
-    one graph._EdgeColumns.add, which also feeds the validation facts. On 2
-    cores and CPython 3.11.7 a verify-200k graph file (q = 200 000) parses,
-    validation included, in 0.096 s against 0.17 s line by line; its \\r\\n
-    copy, read line by line throughout, takes 0.18 s.
+    one graph._EdgeColumns.add, which also keeps their range. On 2 cores
+    and CPython 3.11.7 a verify-200k graph file (q = 200 000) parses in
+    0.14 s, of which 0.07 s is keying every edge for loops and duplicates,
+    which cli verify skips (_read_edge_list); its \\r\\n copy, read line by
+    line throughout, takes 0.23 s.
     A vertex count above graph.MAX_VERTICES (2**22) raises ValidationError.
     An id past the 64 bits of the array('q') columns fails like any id out
     of range, or, without the header, as a vertex count past the bound.
@@ -78,10 +79,15 @@ REPORT_VERSION = 2
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; malformed lines raise ParseError with the
     line number, structural problems (self-loops, duplicates, ids beyond the
-    declared vertex count) raise ValidationError. Each slice's endpoint ints,
-    the JSON decoder's for a plain slice or those the per-line loop reads,
-    are added to the graph's columns in one call, which also feeds the
-    validation facts; no pair is built per edge."""
+    declared vertex count) raise ValidationError. The columns _read_edge_list
+    reads are range-checked, then keyed for loops and repeats, by graph()."""
+    edges, vertex_count = _read_edge_list(text)
+    return edges.graph(vertex_count)
+
+
+def _read_edge_list(text: str) -> tuple[_EdgeColumns, int]:
+    """The edge list's unvalidated columns and vertex count. Each slice's ints
+    go to the columns in one add; no pair is built per edge."""
     vertex_count: int | None = None
     edges = _EdgeColumns()
     line_no = 0
@@ -115,7 +121,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.add(ends[0::2], ends[1::2])
     if vertex_count is None:
         vertex_count = 1 + edges.high
-    return edges.graph(vertex_count)
+    return edges, vertex_count
 
 
 def _slices(text: str, size: int = 1 << 12):

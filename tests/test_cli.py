@@ -28,9 +28,12 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.cli import main
-from oddgraceful.graph import MAX_VERTICES
+from oddgraceful.errors import ValidationError
+from oddgraceful.graph import MAX_VERTICES, Graph
 from oddgraceful.io_formats import _report_parts
 
+from reference_graph import reference_validate
+from reference_verifier import reference_verify_odd_graceful
 from strategies import EDGE_LIST_LINES, labeling_texts, small_graphs
 
 SRC_DIR = str(Path(oddgraceful.__file__).resolve().parents[1])
@@ -218,12 +221,13 @@ def test_verify_failing_peak_memory(tmp_path):
 def test_verify_200k_peak_memory(tmp_path, capsys):
     # At the verify-200k benchmark size: a permuted, re-oriented union(40,
     # 199 961) graph and its labeling. The graph holds its edges as two
-    # array('q') endpoint columns and checks duplicates with a set of int
-    # keys, freed before the labeling document is parsed. Each input text is
-    # hashed as it is read and freed once it is parsed, so two stages peak
-    # about equally: the key set, with the graph text alive, and the labeling
-    # document's parse, with its text and lists alive. This reads 23.29 MiB
-    # on CPython 3.11.7 and 23.32 MiB on 3.10.13. Holding both texts through
+    # array('q') endpoint columns, and verify builds no duplicate key set
+    # for them: its verdict proves the graph simple. Each input text is
+    # hashed as it is read and freed once it is parsed, so the labeling
+    # document's parse, with its text and lists alive, sets the peak; the
+    # key set with the graph text alive, which earlier versions built, peaked
+    # about as high. This reads 23.17 MiB on CPython 3.11.7 with or without
+    # the key set (23.32 MiB on 3.10.13 with it). Holding both texts through
     # the whole run, to hash them for the report, read 27.8 MiB on both;
     # 200 000 edge tuples, with their own set as the dedupe set, read
     # 46.7 MiB.
@@ -374,7 +378,8 @@ def test_verify_detects_corruption(tmp_path, capsys):
         (FamilySpec(40, 199_961), swap_labels, "edge-weight-even"),
     ]:
         files = write_union_files(tmp_path, capsys, spec)
-        doc = json.loads(files["labeling"].read_text())
+        valid_text = files["labeling"].read_text()
+        doc = json.loads(valid_text)
         corrupt(doc["labels"])
         files["labeling"].write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "verify", str(files["graph"]), str(files["labeling"]))
@@ -384,8 +389,18 @@ def test_verify_detects_corruption(tmp_path, capsys):
         assert kind in [v["kind"] for v in report["violations"]]
     # The first cycle edge again, reversed, at the end of the benchmark-size
     # graph file: the duplicate probe must find it.
+    graph_text = files["graph"].read_text()
     with files["graph"].open("a") as f:
         f.write("1 0\n")
+    code, out, err = run_cli(capsys, "verify", str(files["graph"]), str(files["labeling"]))
+    assert (code, out, err) == (64, "", "error: duplicate edge (1, 0)\n")
+    # The same edge in place of the last path edge: the edge and vertex
+    # counts stay, so the valid labeling fits, and its failing report, not
+    # a labeling error, is what must lead verify to name the duplicate.
+    head, last = graph_text[:-1].rsplit("\n", 1)
+    assert last == "199999 200000"
+    files["graph"].write_text(head + "\n1 0\n")
+    files["labeling"].write_text(valid_text)
     code, out, err = run_cli(capsys, "verify", str(files["graph"]), str(files["labeling"]))
     assert (code, out, err) == (64, "", "error: duplicate edge (1, 0)\n")
 
@@ -408,6 +423,104 @@ def test_verify_names_the_graph_error_before_reading_the_labeling(tmp_path, caps
     bad.write_text("0 1\nbroken\n")
     code, out, err = run_cli(capsys, "verify", str(bad), str(tmp_path / "missing.json"))
     assert (code, out, err) == (64, "", "error: line 2: expected two endpoints, got 'broken'\n")
+
+
+# union(4, 3)'s edge list with one faulty edge appended, for 7 vertices and
+# 7 edges, and the error that names it.
+GRAPH_FAULTS = {
+    "duplicate": ("2 3", "duplicate edge (2, 3)"),
+    "reversed-duplicate": ("1 0", "duplicate edge (1, 0)"),
+    "self-loop": ("5 5", "self-loop at vertex 5"),
+}
+
+
+def u43_document(**changes):
+    """A labeling document for a graph of 7 vertices and 7 edges: union(4,
+    3)'s labels, with the fields given replaced."""
+    labels = list(label_closed_form(FamilySpec(4, 3)).labels)
+    doc = {"kind": "labeling", "family": None, "edge_count": 7, "labels": labels,
+           "weights": [1] * 7, "ok": False}
+    return json.dumps({**doc, **changes}).encode()
+
+
+# Labeling files by fault, as bytes; None leaves the file missing. "fits"
+# has no fault of its own: verify's failing report must find the graph's.
+LABELING_FAULTS = {
+    "missing": None,
+    "non-utf8": b'{"kind": "labeling\xff"}',
+    "bad-json": b'{"kind": ',
+    "wrong-kind": u43_document(kind="verify-report"),
+    "edge-count": u43_document(edge_count=6, weights=[1] * 6),
+    "label-count": u43_document(labels=[0, 1, 2]),
+    "true-label": u43_document(labels=[True, 11, 2, 7, 1, 4, 3]),
+    "fits": u43_document(),
+}
+
+
+@pytest.mark.parametrize("labeling_fault", LABELING_FAULTS)
+@pytest.mark.parametrize("graph_fault", GRAPH_FAULTS)
+def test_verify_names_a_faulty_graph_before_the_labeling(tmp_path, capsys, graph_fault, labeling_fault):
+    # Whatever is wrong with the labeling file, or when nothing is, a graph
+    # with a repeated edge or a self-loop is the error named, and nothing is
+    # written.
+    extra, message = GRAPH_FAULTS[graph_fault]
+    graph_file, labeling_file = tmp_path / "g.txt", tmp_path / "l.json"
+    graph_file.write_text(emit_edge_list(make_union(FamilySpec(4, 3))) + f"{extra}\n")
+    if LABELING_FAULTS[labeling_fault] is not None:
+        labeling_file.write_bytes(LABELING_FAULTS[labeling_fault])
+    code, out, err = run_cli(capsys, "verify", str(graph_file), str(labeling_file))
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
+@st.composite
+def faulty_verify_inputs(draw):
+    """A small edge list with a header and repeats in either orientation,
+    self-loops and out-of-range ids inserted, and a labeling document of
+    arbitrary ints that fits its vertex and edge counts: negative ones and
+    ones of 2q or more too, so a repeated weight can lie outside 0..2q-1."""
+    g = draw(small_graphs(max_vertices=6, min_vertices=1))
+    n, edges = g.vertex_count, list(g.edges)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["repeat", "loop", "range"] if edges else ["loop", "range"]))
+        if fault == "repeat":
+            a, b = draw(st.sampled_from(edges))
+        elif fault == "loop":
+            a = b = draw(st.integers(0, n - 1))
+        else:
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(-3, -1) | st.integers(n, n + 3))
+        edges.insert(draw(st.integers(0, len(edges))), (b, a) if draw(st.booleans()) else (a, b))
+    q = len(edges)
+    labels = draw(st.lists(st.integers(-2 * q - 2, 4 * q + 2), min_size=n, max_size=n))
+    doc = {"kind": "labeling", "family": None, "edge_count": q, "labels": labels,
+           "weights": [1] * q, "ok": True}
+    graph_text = f"graph {n}\n" + "".join(f"{a} {b}\n" for a, b in edges)
+    return n, edges, graph_text, json.dumps(doc)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(faulty_verify_inputs())
+def test_verify_matches_validation_then_reference_verifier(tmp_path, inputs):
+    # verify proves the graph simple from its verdict; whatever it finds must
+    # be what validating every edge first and then verifying would give.
+    n, edges, graph_text, labeling_text = inputs
+    try:
+        reference_validate(n, tuple(edges))
+    except ValidationError as exc:
+        expected = (64, "", f"error: {exc}\n")
+    else:
+        labels = tuple(json.loads(labeling_text)["labels"])
+        report = reference_verify_odd_graceful(Graph(n, edges), Labeling(labels))
+        digest = hashlib.sha256((graph_text + labeling_text).encode())
+        expected = (0 if report.ok else 1, "".join(_report_parts(report, digest)), "")
+    graph_file, labeling_file = tmp_path / "g.txt", tmp_path / "l.json"
+    graph_file.write_text(graph_text)
+    labeling_file.write_text(labeling_text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(graph_file), str(labeling_file)])
+    assert (code, out.getvalue(), err.getvalue()) == expected
 
 
 # A \r\n edge list of union(4, 3) and a \r\n labeling document of it. Both

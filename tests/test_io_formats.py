@@ -338,10 +338,10 @@ def test_parse_edge_list_at_benchmark_size():
 
 def test_parse_edge_list_peak_memory():
     # The endpoints go into two array('q') columns, and the duplicate check
-    # fills a set of int keys a slice at a time, freed when parse_edge_list
-    # returns. This peaks at 3.45 MiB on CPython 3.11.7 (3.38 MiB on
-    # 3.10.13), set by the key set, whose keys |a - b|*2M + (a + b) read the
-    # same as the header-based keys before them. Without the key set the
+    # builds one set of int keys over the whole columns once they are read,
+    # freed when parse_edge_list returns. This peaks at 3.41 MiB on CPython
+    # 3.11.7 (3.34 MiB on 3.10.13), set by the key set; filled a slice at a
+    # time it read 3.45 and 3.38 MiB. Without the key set the
     # parse peaked at 0.35 MiB, plain slices converted whole; split into
     # lines a slice at a time it read 0.64 MiB, and the whole splitlines
     # list 1.61 MiB. Holding 20 000 edge tuples, with their own set as the
