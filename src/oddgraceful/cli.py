@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from array import array
 from pathlib import Path
 
 from ._version import __version__
@@ -149,10 +150,15 @@ def _cmd_label(args) -> int:
         del weights
         _write(args, _dot_lines(make_union(spec), labeling))
     else:
-        doc = LabelingDocument((args.cycle, args.path), spec.edge_count, labeling.labels, weights, ok)
+        # The labels are packed, 8 bytes each like the weights, and their
+        # tuple is freed before the report is laid out. The DOT branch keeps
+        # the tuple: its lines index the labels twice per edge, which a
+        # tuple does faster than an array.
+        doc = LabelingDocument((args.cycle, args.path), spec.edge_count,
+                               array("q", labeling.labels), weights, ok)
+        del labeling, weights
         parts = _report_parts(doc)
-        # The label and weight tuples are freed before the write encodes the parts.
-        del doc, labeling, weights
+        del doc  # the arrays are freed before the write encodes the parts
         _write(args, parts)
     return EXIT_OK if ok else EXIT_INVALID
 

@@ -7,8 +7,8 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, index, mul, sub
+from itertools import chain
+from operator import index
 
 from .errors import ValidationError
 
@@ -157,8 +157,8 @@ class _EdgeColumns:
         """Raise the first fault unless the edges, all in 0..n-1 (n at most
         M), are loop-free (no key below 2M) and distinct (no key repeated)."""
         tails, heads = self.tails, self.heads
-        keys = set(map(add, map(mul, map(abs, map(sub, tails, heads)), repeat(_LOOP_KEYS)),
-                       map(add, tails, heads)))
+        # One read of each column: an int object per endpoint, made once.
+        keys = {abs(a - b) * _LOOP_KEYS + a + b for a, b in zip(tails, heads)}
         if min(keys, default=_LOOP_KEYS) < _LOOP_KEYS or len(keys) < len(tails):
             raise _first_fault(n, zip(tails, heads))
 

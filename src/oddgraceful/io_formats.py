@@ -41,11 +41,13 @@ Report format (write, parse for labeling documents)
     kind "search-outcome": verdict, nodes_explored, solutions_found, labels
         (null unless a labeling was found), odd_cycle_witness.
     The text is json.dumps(report, indent=2, sort_keys=True) plus a newline,
-    so equal inputs give byte-identical reports. Each value is encoded once,
-    compactly, and a flat array is laid out from that text (see _indented).
-    The report is built as a list of text parts (_report_parts); emit_report
-    joins them, and the CLI writes them unjoined, so no copy of the whole
-    text is made on the way to a file or stdout.
+    so equal inputs give byte-identical reports. An array of ints, such as
+    the labels and the weights, is laid out straight from its ints, a chunk
+    at a time (_int_array_parts); every other value goes through json.dumps
+    (_indented). The report is built as a list of text parts
+    (_report_parts); emit_report joins them, and the CLI writes them
+    unjoined, so no copy of the whole text is made on the way to a file or
+    stdout.
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
 is supplied (bare ids otherwise) and edge text is the induced weight. The CLI
@@ -57,6 +59,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import sub
@@ -169,12 +173,15 @@ def emit_edge_list(g: Graph) -> str:
 class LabelingDocument:
     """Self-describing record of one labeling: its family (if any), labels in
     vertex-id order, induced weights in edge order and the verifier verdict.
-    Counts that contradict edge_count raise ValidationError."""
+    labels and weights are int sequences: the parser and
+    build_labeling_document give tuples, and cli label an array('q') each,
+    which hold 8 bytes a value. Counts that contradict edge_count raise
+    ValidationError."""
 
     family: tuple[int, int] | None
     edge_count: int
-    labels: tuple[int, ...]
-    weights: tuple[int, ...]
+    labels: Sequence[int]
+    weights: Sequence[int]
     ok: bool
 
     def __post_init__(self):
@@ -251,13 +258,15 @@ def emit_report(
 def _report_parts(payload, digest=None) -> list[str]:
     """The report text as a list of parts, in order; emit_report joins them.
 
-    Each body value is encoded once, as its compact text
-    json.dumps(value, sort_keys=True, separators=(",", ":")), and laid out
-    from it. digest, when given, is a hashlib.sha256 object the caller has
-    fed with the UTF-8 bytes of each source text in turn, as it read them;
+    digest, when given, is a hashlib.sha256 object the caller has fed with
+    the UTF-8 bytes of each source text in turn, as it read them;
     input_digest is its hex digest, that of the texts' concatenation.
-    Without it input_digest is that of the compact body, hashed one
-    top-level value at a time, never held whole.
+    Without it input_digest is that of the compact body,
+    json.dumps(body, sort_keys=True, separators=(",", ":")), hashed a
+    top-level value, or an int array's chunk, at a time, never held whole.
+    An int array is laid out from its own ints (_int_array_parts); every
+    other value goes to json.dumps (_indented), and its compact text is made
+    only to be hashed.
     """
     body = _payload_body(payload)
     hash_body = digest is None
@@ -266,19 +275,22 @@ def _report_parts(payload, digest=None) -> list[str]:
     texts = {}
     separator = "{"
     for key in sorted(body):
+        value = body[key]
+        if hash_body:
+            digest.update(f"{separator}{json.dumps(key)}:".encode())
+            separator = ","
         try:
-            compact = json.dumps(body[key], sort_keys=True, separators=(",", ":"))
+            if _holds_only_ints(value):
+                texts[key] = _int_array_parts(value, digest if hash_body else None)
+            else:
+                if hash_body:
+                    digest.update(json.dumps(value, sort_keys=True, separators=(",", ":")).encode())
+                texts[key] = (_indented(value),)
         except ValueError:  # an int past str()'s digit limit, such as a failing verify's weight
             raise ValidationError(
                 f"cannot write the report: an integer in its {key} has more than "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from None
-        if hash_body:
-            digest.update(f"{separator}{json.dumps(key)}:".encode())
-            digest.update(compact.encode())
-            separator = ","
-        texts[key] = _indented(body[key], compact)
-        del compact  # freed before the next value is encoded
     if hash_body:
         digest.update(b"}")
     # The envelope values are scalars, whose indented text is their JSON text.
@@ -294,22 +306,56 @@ def _report_parts(payload, digest=None) -> list[str]:
     return parts
 
 
-def _indented(value, compact: str) -> tuple[str, ...]:
-    """The indent=2 text of a value one level inside an object, given its
-    compact text, as parts to be written in order.
+def _holds_only_ints(value) -> bool:
+    """Whether value is an array('q'), or a tuple or list whose items are all
+    exactly int: type() rather than isinstance(), so bools stay true/false."""
+    if type(value) is array:
+        return value.typecode == "q"
+    return type(value) in (tuple, list) and set(map(type, value)) <= {int}
 
-    The indenting encoder runs in pure Python. A non-empty array with no
-    '"', '[' or '{' after its opening bracket holds only scalars, and no
-    scalar's JSON text contains a comma, so its indented text is the compact
-    one with a line break after each comma. Every other value is re-indented
-    by replacing newlines, which is exact because the encoder escapes every
-    newline inside a string. A flat array's brackets are parts of their own,
-    so no concatenation copies its body.
+
+_CHUNK = 1 << 14  # ints formatted at a time by _int_array_parts
+_CHUNK_FORMAT = ("%d," * _CHUNK)[:-1]
+
+
+def _int_array_parts(values, digest) -> list[str]:
+    """The indent=2 text of an int array one level inside an object, as parts
+    to be written in order, made _CHUNK ints at a time with no JSON encoder
+    and no str object per int. A chunk's compact text is one %-format of its
+    ints, fed to digest, unless that is None, after a '[' or ','. Its
+    layout, a part of its own, is that text with a line break and indent
+    after each comma, since no int's text holds a comma. Only one chunk's
+    compact text is alive at a time.
     """
-    flat = compact[0] == "[" and compact.find("[", 1) < 0 and '"' not in compact and "{" not in compact
-    if flat and compact != "[]":
-        return ("[\n    ", compact[1:-1].replace(",", ",\n    "), "\n  ]")
-    return (json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "),)
+    if not values:
+        if digest is not None:
+            digest.update(b"[]")
+        return ["[]"]
+    parts = ["[\n    "]
+    for start in range(0, len(values), _CHUNK):
+        chunk = tuple(values[start:start + _CHUNK])
+        form = _CHUNK_FORMAT if len(chunk) == _CHUNK else ("%d," * len(chunk))[:-1]
+        text = form % chunk
+        if start:
+            parts.append(",\n    ")
+        if digest is not None:
+            digest.update(b"," if start else b"[")
+            digest.update(text.encode())
+        parts.append(text.replace(",", ",\n    "))
+    if digest is not None:
+        digest.update(b"]")
+    parts.append("\n  ]")
+    return parts
+
+
+def _indented(value) -> str:
+    """The indent=2 text of a value one level inside an object: its own
+    indent=2 text with each line after the first indented two more spaces,
+    which is exact because the encoder escapes every newline inside a
+    string. The indenting encoder runs in pure Python, so the report's int
+    arrays, its largest values, take _int_array_parts instead.
+    """
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 def emit_dot(g: Graph, labeling: Labeling | None = None) -> str:

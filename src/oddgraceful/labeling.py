@@ -11,6 +11,7 @@ the report alone.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
 from operator import sub
@@ -183,16 +184,18 @@ def _verdict(labels, weights) -> tuple[bool, tuple, tuple]:
     return ok, label_scan, weight_scan
 
 
-def _family_weights(spec: FamilySpec, labeling: Labeling) -> tuple[int, ...]:
-    """induced_weights(make_union(spec), labeling) from the labels alone:
-    the m cycle weights |l[i] - l[(i+1) mod m]|, then the path weights
-    |l[j] - l[j+1]| for m <= j < m+n-1. Left ends are the first m+n-1 labels
-    in order, right ends the same shifted by one, the cycle closing on l[0].
+def _family_weights(spec: FamilySpec, labeling: Labeling) -> array:
+    """induced_weights(make_union(spec), labeling) from the labels alone, as
+    an array('q'): the m cycle weights |l[i] - l[(i+1) mod m]|, then the path
+    weights |l[j] - l[j+1]| for m <= j < m+n-1. Left ends are the first m+n-1
+    labels in order, right ends the same shifted by one, the cycle closing on
+    l[0]. The constructors' labels lie in [0, 2q), and 2q < 2**23, so every
+    weight fits the array's 64 bits.
     """
     m = spec.cycle_order
     labels = _total_labels(m + spec.path_order, labeling)
     rights = chain(islice(labels, 1, m), labels[:1], islice(labels, m + 1, None))
-    return tuple(map(abs, map(sub, islice(labels, len(labels) - 1), rights)))
+    return array("q", map(abs, map(sub, islice(labels, len(labels) - 1), rights)))
 
 
 def _total_labels(vertex_count: int, labeling: Labeling) -> tuple[int, ...]:

@@ -107,7 +107,7 @@ def test_family_weights_match_the_graph(case):
     # wrong length must fail with the graph's message.
     spec, labeling = case
     g = make_union(spec)
-    assert _family_weights(spec, labeling) == induced_weights(g, labeling)
+    assert tuple(_family_weights(spec, labeling)) == induced_weights(g, labeling)
     for wrong in (Labeling(labeling.labels[:-1]), Labeling(labeling.labels + (0,))):
         message = rf"^labeling covers {len(wrong.labels)} vertices, graph has {g.vertex_count}$"
         with pytest.raises(ValidationError, match=message) as expected:
