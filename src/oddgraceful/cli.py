@@ -24,12 +24,7 @@ from array import array
 from pathlib import Path
 
 from ._version import __version__
-from .construct import (
-    label_algorithmic,
-    label_closed_form,
-    label_short_path,
-    min_path_order,
-)
+from .construct import _algorithmic_labels, _closed_form_labels, _short_path_labels, min_path_order
 from .errors import OddGracefulError, ParseError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
@@ -136,29 +131,30 @@ def _write(args, parts) -> None:
 
 def _cmd_label(args) -> int:
     spec = FamilySpec(args.cycle, args.path)
-    construct = label_closed_form if args.method == "closed" else label_algorithmic
+    stream = _closed_form_labels if args.method == "closed" else _algorithmic_labels
     if args.path < min_path_order(args.cycle):
-        construct = label_short_path
-    labeling = construct(spec)
+        stream = _short_path_labels
+    # The stream checks the spec before the first label is drawn. The report
+    # packs the labels straight from it, 8 bytes each like the weights, with
+    # no tuple; DOT keeps a tuple, since its lines index the labels twice per
+    # edge, which a tuple does faster than an array.
+    labels = tuple(stream(spec)) if args.format == "dot" else array("q", stream(spec))
     # The weights and the verdict come from the labels alone; only DOT, which
     # draws the edges, builds the graph.
-    weights = _family_weights(spec, labeling)
-    ok = _verdict(labeling.labels, weights)[0]
+    weights = _family_weights(spec, labels)
+    ok = _verdict(labels, weights)[0]
     if args.format == "dot":
         # The DOT lines compute each edge's weight as they lay it out; these
         # weights are freed before the graph is built and validated.
         del weights
-        _write(args, _dot_lines(make_union(spec), labeling))
+        _write(args, _dot_lines(make_union(spec), Labeling(labels)))
     else:
-        # The labels are packed, 8 bytes each like the weights, and their
-        # tuple is freed before the report is laid out. The DOT branch keeps
-        # the tuple: its lines index the labels twice per edge, which a
-        # tuple does faster than an array.
-        doc = LabelingDocument((args.cycle, args.path), spec.edge_count,
-                               array("q", labeling.labels), weights, ok)
-        del labeling, weights
+        doc = LabelingDocument((args.cycle, args.path), spec.edge_count, labels, weights, ok)
+        del labels, weights
+        # The parts keep only each int chunk's compact text, so the arrays
+        # are freed before the write lays the chunks out and encodes them.
         parts = _report_parts(doc)
-        del doc  # the arrays are freed before the write encodes the parts
+        del doc
         _write(args, parts)
     return EXIT_OK if ok else EXIT_INVALID
 

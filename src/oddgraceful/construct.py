@@ -1,8 +1,12 @@
 """Constructive odd-graceful labelers for the cycle-plus-path family.
 
 The paper's construction comes in two interchangeable forms that must agree
-vertex for vertex. Each builds its labels tuple in one stream of ranges, with
-no per-vertex Python code, so construction is linear in the edge count.
+vertex for vertex. Each streams its labels from a few ranges, with no
+per-vertex Python code, so construction is linear in the edge count. The
+private streams (_closed_form_labels, _algorithmic_labels,
+_short_path_labels) check their spec when called and return the labels as
+an iterator; the public constructors make a Labeling of their tuple, and
+cli label packs a stream straight into an array('q') with no tuple.
 
 The closed form interleaves runs of labels. Around the cycle, the ascending
 evens 0, 2, ..., m-2 alternate with the descending odds 2q-1, ..., 2q-m+3,
@@ -60,6 +64,11 @@ def label_closed_form(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     of the even numbers base+2, base, ... (i even). Past i = k-2 the odds
     pass over k when k is odd, the evens over base+4-k when k is even.
     """
+    return Labeling(tuple(_closed_form_labels(spec, policy)))
+
+
+def _closed_form_labels(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORCE):
+    """label_closed_form's labels as an iterator, the bound checked now."""
     _check_bound(spec, policy)
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
     k, base = m // 2, 2 * q - 2 * m
@@ -69,7 +78,7 @@ def label_closed_form(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
         odds, evens = _passing_over(1, 2 * q, 2, k), range(base + 2, -1, -2)
     else:
         odds, evens = range(1, 2 * q, 2), _passing_over(base + 2, -1, -2, base + 4 - k)
-    return Labeling(tuple(chain(ring, _zigzag(odds, evens, n))))
+    return chain(ring, _zigzag(odds, evens, n))
 
 
 def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORCE) -> Labeling:
@@ -80,15 +89,20 @@ def label_algorithmic(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORC
     weight 2q-3m+5, which lands on the closing label 2q-2m+3. The path walks
     from 1 over closing-2, closing-4, ..., passing over the reserved weight.
     """
+    return Labeling(tuple(_algorithmic_labels(spec, policy)))
+
+
+def _algorithmic_labels(spec: FamilySpec, policy: BoundPolicy = BoundPolicy.ENFORCE):
+    """label_algorithmic's labels as an iterator, the bound checked now."""
     _check_bound(spec, policy)
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
     closing_label, reserved_weight = 2 * q - 2 * m + 3, 2 * q - 3 * m + 5
     ring_weights = chain(range(2 * q - 1, closing_label, -2), (reserved_weight,))
     path_weights = _passing_over(closing_label - 2, -1, -2, reserved_weight)
-    return Labeling(tuple(chain(
+    return chain(
         accumulate(map(mul, ring_weights, cycle((1, -1))), initial=0),
         islice(accumulate(map(mul, path_weights, cycle((1, -1))), initial=1), n),
-    )))
+    )
 
 
 def label_short_path(spec: FamilySpec) -> Labeling:
@@ -107,6 +121,11 @@ def label_short_path(spec: FamilySpec) -> Labeling:
     As runs: the cycle's odd labels rise from 1 passing over k + 2 (k odd),
     its even ones fall from 2m passing over m + 2 (k odd) or 3k (k even).
     """
+    return Labeling(tuple(_short_path_labels(spec)))
+
+
+def _short_path_labels(spec: FamilySpec):
+    """label_short_path's labels as an iterator, n > m refused now."""
     m, n, q = spec.cycle_order, spec.path_order, spec.edge_count
     if n > m:
         raise ValidationError(f"path order {n} exceeds cycle order {m}")
@@ -116,7 +135,7 @@ def label_short_path(spec: FamilySpec) -> Labeling:
     else:
         odds, evens = range(1, m, 2), _passing_over(2 * m, -1, -2, 3 * k)
     path = _zigzag(range(0, n, 2), range(2 * q - 1, -1, -2), n)
-    return Labeling(tuple(chain(_zigzag(odds, evens, m), path)))
+    return chain(_zigzag(odds, evens, m), path)
 
 
 def _zigzag(firsts, seconds, count: int):

@@ -42,12 +42,13 @@ Report format (write, parse for labeling documents)
         (null unless a labeling was found), odd_cycle_witness.
     The text is json.dumps(report, indent=2, sort_keys=True) plus a newline,
     so equal inputs give byte-identical reports. An array of ints, such as
-    the labels and the weights, is laid out straight from its ints, a chunk
-    at a time (_int_array_parts); every other value goes through json.dumps
-    (_indented). The report is built as a list of text parts
-    (_report_parts); emit_report joins them, and the CLI writes them
-    unjoined, so no copy of the whole text is made on the way to a file or
-    stdout.
+    the labels and the weights, is formatted straight from its ints, a chunk
+    at a time, into compact text (_int_chunks), which also feeds the digest;
+    every other value goes through json.dumps (_indented). _report_parts
+    runs every check and all hashing, keeping each int chunk's compact text,
+    and returns an iterator of text parts that lays each chunk out only as
+    it is reached; emit_report joins them, and the CLI writes them unjoined,
+    so no copy of the whole text is made on the way to a file or stdout.
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
 is supplied (bare ids otherwise) and edge text is the induced weight. The CLI
@@ -175,8 +176,9 @@ class LabelingDocument:
     vertex-id order, induced weights in edge order and the verifier verdict.
     labels and weights are int sequences: the parser and
     build_labeling_document give tuples, and cli label an array('q') each,
-    which hold 8 bytes a value. Counts that contradict edge_count raise
-    ValidationError."""
+    which hold 8 bytes a value, its labels packed straight from the
+    constructor's stream with no tuple. Counts that contradict edge_count
+    raise ValidationError."""
 
     family: tuple[int, int] | None
     edge_count: int
@@ -248,15 +250,17 @@ def emit_report(
     payload: VerifyReport | SearchOutcome | LabelingDocument,
     source_text: str | None = None,
 ) -> str:
-    """Serialize a report; byte-stable for equal inputs within a release."""
+    """Serialize a report; byte-stable for equal inputs within a release.
+    The text is _report_parts' parts joined."""
     digest = None
     if source_text is not None:
         digest = hashlib.sha256(source_text.encode())
     return "".join(_report_parts(payload, digest))
 
 
-def _report_parts(payload, digest=None) -> list[str]:
-    """The report text as a list of parts, in order; emit_report joins them.
+def _report_parts(payload, digest=None):
+    """The report text as an iterator of parts, in order; emit_report joins
+    them, and the CLI writes them unjoined.
 
     digest, when given, is a hashlib.sha256 object the caller has fed with
     the UTF-8 bytes of each source text in turn, as it read them;
@@ -264,9 +268,12 @@ def _report_parts(payload, digest=None) -> list[str]:
     Without it input_digest is that of the compact body,
     json.dumps(body, sort_keys=True, separators=(",", ":")), hashed a
     top-level value, or an int array's chunk, at a time, never held whole.
-    An int array is laid out from its own ints (_int_array_parts); every
-    other value goes to json.dumps (_indented), and its compact text is made
-    only to be hashed.
+    Every check and all hashing run before this returns, so an int past
+    str()'s digit limit raises ValidationError before the caller opens its
+    output. An int array is kept as its chunks' compact texts
+    (_int_chunks), each laid out only as the iterator reaches it; every
+    other value's indented text is made now by json.dumps (_indented), and
+    its compact text only to be hashed.
     """
     body = _payload_body(payload)
     hash_body = digest is None
@@ -281,11 +288,11 @@ def _report_parts(payload, digest=None) -> list[str]:
             separator = ","
         try:
             if _holds_only_ints(value):
-                texts[key] = _int_array_parts(value, digest if hash_body else None)
+                texts[key] = _int_chunks(value, digest if hash_body else None)
             else:
                 if hash_body:
                     digest.update(json.dumps(value, sort_keys=True, separators=(",", ":")).encode())
-                texts[key] = (_indented(value),)
+                texts[key] = _indented(value)
         except ValueError:  # an int past str()'s digit limit, such as a failing verify's weight
             raise ValidationError(
                 f"cannot write the report: an integer in its {key} has more than "
@@ -294,16 +301,36 @@ def _report_parts(payload, digest=None) -> list[str]:
     if hash_body:
         digest.update(b"}")
     # The envelope values are scalars, whose indented text is their JSON text.
-    texts["report_version"] = (json.dumps(REPORT_VERSION),)
-    texts["tool_version"] = (json.dumps(__version__),)
-    texts["input_digest"] = (json.dumps(f"sha256:{digest.hexdigest()}"),)
-    parts = []
+    texts["report_version"] = json.dumps(REPORT_VERSION)
+    texts["tool_version"] = json.dumps(__version__)
+    texts["input_digest"] = json.dumps(f"sha256:{digest.hexdigest()}")
+    return _laid_out(texts)
+
+
+def _laid_out(texts: dict):
+    """The parts of the object whose values' indented texts are texts[key]:
+    a str, or an int array's list of compact chunk texts, each laid out as
+    it is reached with a line break and indent after each comma, since no
+    int's text holds a comma."""
     separator = "{\n  "
     for key in sorted(texts):
-        parts += (separator, json.dumps(key), ": ", *texts[key])
+        yield separator
+        yield json.dumps(key)
+        yield ": "
+        text = texts[key]
+        if type(text) is str:
+            yield text
+        elif not text:
+            yield "[]"
+        else:
+            yield "[\n    "
+            yield text[0].replace(",", ",\n    ")
+            for chunk in text[1:]:
+                yield ",\n    "
+                yield chunk.replace(",", ",\n    ")
+            yield "\n  ]"
         separator = ",\n  "
-    parts.append("\n}\n")
-    return parts
+    yield "\n}\n"
 
 
 def _holds_only_ints(value) -> bool:
@@ -314,38 +341,27 @@ def _holds_only_ints(value) -> bool:
     return type(value) in (tuple, list) and set(map(type, value)) <= {int}
 
 
-_CHUNK = 1 << 14  # ints formatted at a time by _int_array_parts
+_CHUNK = 1 << 14  # ints formatted at a time by _int_chunks
 _CHUNK_FORMAT = ("%d," * _CHUNK)[:-1]
 
 
-def _int_array_parts(values, digest) -> list[str]:
-    """The indent=2 text of an int array one level inside an object, as parts
-    to be written in order, made _CHUNK ints at a time with no JSON encoder
-    and no str object per int. A chunk's compact text is one %-format of its
-    ints, fed to digest, unless that is None, after a '[' or ','. Its
-    layout, a part of its own, is that text with a line break and indent
-    after each comma, since no int's text holds a comma. Only one chunk's
-    compact text is alive at a time.
+def _int_chunks(values, digest) -> list[str]:
+    """The compact JSON texts of an int array's chunks of _CHUNK ints, made
+    with no JSON encoder and no str object per int: one %-format of a
+    chunk's ints. Each is fed to digest, unless that is None, after a '['
+    or ',', and a ']' after the last ('[]' for no ints).
     """
-    if not values:
-        if digest is not None:
-            digest.update(b"[]")
-        return ["[]"]
-    parts = ["[\n    "]
+    chunks = []
     for start in range(0, len(values), _CHUNK):
         chunk = tuple(values[start:start + _CHUNK])
         form = _CHUNK_FORMAT if len(chunk) == _CHUNK else ("%d," * len(chunk))[:-1]
-        text = form % chunk
-        if start:
-            parts.append(",\n    ")
+        chunks.append(form % chunk)
         if digest is not None:
             digest.update(b"," if start else b"[")
-            digest.update(text.encode())
-        parts.append(text.replace(",", ",\n    "))
+            digest.update(chunks[-1].encode())
     if digest is not None:
-        digest.update(b"]")
-    parts.append("\n  ]")
-    return parts
+        digest.update(b"]" if chunks else b"[]")
+    return chunks
 
 
 def _indented(value) -> str:
@@ -353,7 +369,7 @@ def _indented(value) -> str:
     indent=2 text with each line after the first indented two more spaces,
     which is exact because the encoder escapes every newline inside a
     string. The indenting encoder runs in pure Python, so the report's int
-    arrays, its largest values, take _int_array_parts instead.
+    arrays, its largest values, take _int_chunks instead.
     """
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 

@@ -184,22 +184,27 @@ def _verdict(labels, weights) -> tuple[bool, tuple, tuple]:
     return ok, label_scan, weight_scan
 
 
-def _family_weights(spec: FamilySpec, labeling: Labeling) -> array:
-    """induced_weights(make_union(spec), labeling) from the labels alone, as
-    an array('q'): the m cycle weights |l[i] - l[(i+1) mod m]|, then the path
+def _family_weights(spec: FamilySpec, labels) -> array:
+    """induced_weights(make_union(spec), Labeling(tuple(labels))) from the
+    labels alone, an int sequence such as a tuple or an array('q'), as an
+    array('q'): the m cycle weights |l[i] - l[(i+1) mod m]|, then the path
     weights |l[j] - l[j+1]| for m <= j < m+n-1. Left ends are the first m+n-1
     labels in order, right ends the same shifted by one, the cycle closing on
     l[0]. The constructors' labels lie in [0, 2q), and 2q < 2**23, so every
     weight fits the array's 64 bits.
     """
     m = spec.cycle_order
-    labels = _total_labels(m + spec.path_order, labeling)
+    labels = _counted_labels(m + spec.path_order, labels)
     rights = chain(islice(labels, 1, m), labels[:1], islice(labels, m + 1, None))
     return array("q", map(abs, map(sub, islice(labels, len(labels) - 1), rights)))
 
 
 def _total_labels(vertex_count: int, labeling: Labeling) -> tuple[int, ...]:
-    labels = labeling.labels
+    return _counted_labels(vertex_count, labeling.labels)
+
+
+def _counted_labels(vertex_count: int, labels):
+    """labels, an int sequence, once its length is checked against vertex_count."""
     if len(labels) != vertex_count:
         raise ValidationError(
             f"labeling covers {len(labels)} vertices, graph has {vertex_count}"

@@ -17,12 +17,17 @@ import oddgraceful
 from oddgraceful import (
     FamilySpec,
     Labeling,
+    build_labeling_document,
     emit_edge_list,
+    emit_report,
     induced_weights,
+    label_algorithmic,
     label_closed_form,
+    label_short_path,
     make_cycle,
     make_path,
     make_union,
+    min_path_order,
     parse_edge_list,
     parse_labeling_document,
     verify_odd_graceful,
@@ -110,14 +115,16 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
 
 def test_label_peak_memory(tmp_path):
     # label builds no graph: the weights come from the labels alone, packed
-    # in an array('q') like the labels, and the writer lays each int array
-    # out from its ints a chunk at a time. This reads 1.8 MiB here; laying
-    # each array out from its whole compact text, with the label and weight
-    # tuples alive, read 3.4 MiB, encoding each int array a second time for
-    # its layout 3.5 MiB, and building the graph and freeing it before the
-    # emit 3.7 MiB. With the earlier writer, keeping the graph alive through
-    # the emit read 5.3 MiB, and validating the graph with the digits made
-    # twice read 7.4.
+    # in an array('q') like the labels, which are packed straight from the
+    # constructor's stream, and the writer keeps each int chunk's compact
+    # text, laying it out only as it is written. This reads 1.5 MiB here;
+    # packing the constructor's label tuple and keeping every chunk's layout
+    # until the write read 1.8 MiB, laying each array out from its whole
+    # compact text, with the label and weight tuples alive, 3.4 MiB,
+    # encoding each int array a second time for its layout 3.5 MiB, and
+    # building the graph and freeing it before the emit 3.7 MiB. With the
+    # earlier writer, keeping the graph alive through the emit read 5.3 MiB,
+    # and validating the graph with the digits made twice read 7.4.
     out = str(tmp_path / "l.json")
     tracemalloc.start()
     try:
@@ -136,9 +143,12 @@ def test_label_200k_peak_memory(tmp_path):
     # unjoined, each int array laid out from its whole compact text while
     # the label and weight tuples were alive, 22.5 MiB. With both packed in
     # array('q'), the label tuple freed before the layout and each array
-    # laid out a chunk at a time, it reads 10.95 MiB on CPython 3.11: the
-    # peak is now the packing of the labels, when their tuple, its ints and
-    # both arrays are alive.
+    # laid out a chunk at a time, it read 10.95 MiB, set by the packing of
+    # the constructor's label tuple, when the tuple, its ints and both arrays
+    # were alive. Packing the labels straight from the constructor's stream,
+    # and keeping each int chunk's compact text rather than its layout until
+    # the write, it reads 7.1 MiB on CPython 3.11.7: both arrays and the
+    # compact texts of the chunks made so far.
     out = str(tmp_path / "l.json")
     tracemalloc.start()
     try:
@@ -147,7 +157,7 @@ def test_label_200k_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 13 * 2**20
+    assert peak < 8.5 * 2**20
     # The --out file holds the bytes pinned for stdout.
     assert pinned_sha256(Path(out).read_bytes().decode()) == SHA256_40_199961
 
@@ -170,6 +180,37 @@ def test_label_builds_no_graph(capsys, monkeypatch):
         test_label_report_bytes_pinned(capsys, argv, sha256)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--cycle", "40", "--path", "19961"),
+        ("--cycle", "42", "--path", "20000", "--method", "algo"),
+        ("--cycle", "42", "--path", "20"),
+    ],
+)
+def test_label_report_builds_no_labeling(capsys, monkeypatch, argv):
+    # label packs the report's labels straight from the constructor's stream,
+    # so its report path calls no public constructor and builds no Labeling,
+    # for either method and below the minimum path order, and the report
+    # keeps the bytes the public constructors give.
+    m, n = int(argv[1]), int(argv[3])
+    spec = FamilySpec(m, n)
+    construct = label_algorithmic if "algo" in argv else label_closed_form
+    labeling = label_short_path(spec) if n < min_path_order(m) else construct(spec)
+    g = make_union(spec)
+    doc = build_labeling_document(g, labeling, verify_odd_graceful(g, labeling).ok, (m, n))
+    expected = emit_report(doc)
+
+    def no_labeling(*args):
+        raise AssertionError(f"label built a labeling: {args[1:]}")
+
+    for name in ("label_closed_form", "label_algorithmic", "label_short_path"):
+        monkeypatch.setattr(f"oddgraceful.construct.{name}", no_labeling)
+        assert not hasattr(oddgraceful.cli, name)
+    monkeypatch.setattr(Labeling, "__init__", no_labeling)
+    assert run_cli(capsys, "label", *argv) == (0, expected, "")
+
+
 def test_label_exits_one_on_a_failing_construction(capsys, monkeypatch):
     # Labels 2 (cycle) and 1 (path) swapped turn three edge weights even. The
     # report and the DOT output both exit 1; the report says ok false and
@@ -178,7 +219,7 @@ def test_label_exits_one_on_a_failing_construction(capsys, monkeypatch):
     labels = list(label_closed_form(spec).labels)
     labels[2], labels[8] = labels[8], labels[2]
     bad = Labeling(tuple(labels))
-    monkeypatch.setattr("oddgraceful.cli.label_closed_form", lambda spec: bad)
+    monkeypatch.setattr("oddgraceful.cli._closed_form_labels", lambda spec: iter(labels))
     code, out, _ = run_cli(capsys, "label", "--cycle", "8", "--path", "7")
     assert code == 1
     assert '\n  "ok": false,\n' in out

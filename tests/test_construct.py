@@ -15,7 +15,12 @@ from oddgraceful import (
     min_path_order,
     verify_odd_graceful,
 )
-from oddgraceful.construct import BoundPolicy
+from oddgraceful.construct import (
+    BoundPolicy,
+    _algorithmic_labels,
+    _closed_form_labels,
+    _short_path_labels,
+)
 
 from reference_construct import reference_algorithmic, reference_closed_form, reference_short_path
 from strategies import family_specs
@@ -197,6 +202,30 @@ def test_constructors_match_the_per_vertex_references(m):
         assert label_algorithmic(spec, BoundPolicy.FORCE).labels == reference_algorithmic(spec), n
         if n <= m:
             assert label_short_path(spec).labels == reference_short_path(spec), n
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(range(4, 61, 2)).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2, min_path_order(m) + 20))))
+def test_label_streams_match_the_constructors(case):
+    # Each private stream, tupled, gives its public constructor's labels, on
+    # both sides of the minimum path order. A stream checks its spec when it
+    # is called, before any label is drawn.
+    m, n = case
+    spec = FamilySpec(m, n)
+    below = n < min_path_order(m)
+    policy = BoundPolicy.FORCE if below else BoundPolicy.ENFORCE
+    for stream, construct in ((_closed_form_labels, label_closed_form),
+                              (_algorithmic_labels, label_algorithmic)):
+        assert tuple(stream(spec, policy)) == construct(spec, policy).labels
+        if below:
+            with pytest.raises(ValidationError, match="below the minimum"):
+                stream(spec)
+    if n <= m:
+        assert tuple(_short_path_labels(spec)) == label_short_path(spec).labels
+    else:
+        with pytest.raises(ValidationError, match="exceeds cycle order"):
+            _short_path_labels(spec)
 
 
 @settings(max_examples=80)

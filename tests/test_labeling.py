@@ -1,4 +1,5 @@
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,19 +103,23 @@ def family_labelings(draw):
 @example((FamilySpec(10, 7), label_algorithmic(FamilySpec(10, 7))))
 @example((FamilySpec(12, 6), label_short_path(FamilySpec(12, 6))))
 def test_family_weights_match_the_graph(case):
-    # The family weights are read from the labels alone; they must be the
-    # weights of make_union's edges in its edge order, and a labeling of the
-    # wrong length must fail with the graph's message.
+    # The family weights are read from the labels alone, as a tuple or packed
+    # in an array('q'); they must be the weights of make_union's edges in its
+    # edge order, and labels of the wrong length must fail with the graph's
+    # message.
     spec, labeling = case
     g = make_union(spec)
-    assert tuple(_family_weights(spec, labeling)) == induced_weights(g, labeling)
+    expected_weights = induced_weights(g, labeling)
+    assert tuple(_family_weights(spec, labeling.labels)) == expected_weights
+    assert tuple(_family_weights(spec, array("q", labeling.labels))) == expected_weights
     for wrong in (Labeling(labeling.labels[:-1]), Labeling(labeling.labels + (0,))):
         message = rf"^labeling covers {len(wrong.labels)} vertices, graph has {g.vertex_count}$"
         with pytest.raises(ValidationError, match=message) as expected:
             induced_weights(g, wrong)
-        with pytest.raises(ValidationError, match=message) as got:
-            _family_weights(spec, wrong)
-        assert str(got.value) == str(expected.value)
+        for labels in (wrong.labels, array("q", wrong.labels)):
+            with pytest.raises(ValidationError, match=message) as got:
+                _family_weights(spec, labels)
+            assert str(got.value) == str(expected.value)
 
 
 def test_verify_accepts_family_fixture():
