@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from array import array
 from pathlib import Path
 
 from ._version import __version__
@@ -28,15 +27,17 @@ from .construct import _algorithmic_labels, _closed_form_labels, _short_path_lab
 from .errors import OddGracefulError, ParseError, ValidationError
 from .graph import FamilySpec, Graph, make_union
 from .io_formats import (
+    _CHUNK,
     LabelingDocument,
+    _IntTexts,
     _dot_lines,
     _read_edge_list,
     _report_parts,
     parse_edge_list,
     parse_labeling_document,
 )
-from .labeling import (DuplicateEdgeWeight, EdgeWeightEven, Labeling, _family_weights, _verdict,
-                       verify_odd_graceful)
+from .labeling import (DuplicateEdgeWeight, EdgeWeightEven, Labeling, _family_chunks, _scan,
+                       _verdict, verify_odd_graceful)
 from .search import SearchConfig, SearchVerdict, search_odd_graceful
 
 EXIT_OK = 0
@@ -134,28 +135,31 @@ def _cmd_label(args) -> int:
     stream = _closed_form_labels if args.method == "closed" else _algorithmic_labels
     if args.path < min_path_order(args.cycle):
         stream = _short_path_labels
-    # The stream checks the spec before the first label is drawn. The report
-    # packs the labels straight from it, 8 bytes each like the weights, with
-    # no tuple; DOT keeps a tuple, since its lines index the labels twice per
-    # edge, which a tuple does faster than an array.
-    labels = tuple(stream(spec)) if args.format == "dot" else array("q", stream(spec))
-    # The weights and the verdict come from the labels alone; only DOT, which
-    # draws the edges, builds the graph.
-    weights = _family_weights(spec, labels)
-    ok = _verdict(labels, weights)[0]
-    if args.format == "dot":
-        # The DOT lines compute each edge's weight as they lay it out; these
-        # weights are freed before the graph is built and validated.
-        del weights
+    dot = args.format == "dot"
+    # The stream checks the spec when it is made. One pass draws the labels
+    # _CHUNK at a time and scans each chunk's labels, and the weights they
+    # complete, into the verdict's marks. Only the verdict and each chunk's
+    # compact texts outlive the chunk: the report path holds no array of all
+    # the labels or weights and builds no graph. DOT draws the chunks from a
+    # tuple of the labels instead, which its lines index twice per edge.
+    labels = tuple(stream(spec)) if dot else stream(spec)
+    limit = 2 * spec.edge_count
+    label_scan = weight_scan = None
+    label_texts, weight_texts = _IntTexts(), _IntTexts()
+    for chunk, weights in _family_chunks(spec, labels, _CHUNK):
+        label_scan = _scan(chunk, limit, label_scan)
+        weight_scan = _scan(weights, limit, weight_scan)
+        if not dot:
+            label_texts.add(chunk)
+            weight_texts.add(weights)
+    ok = _verdict(label_scan, weight_scan)
+    del label_scan, weight_scan  # 2q bytes of marks each, freed before the write
+    if dot:
+        # The DOT lines compute each edge's weight from the graph they draw.
         _write(args, _dot_lines(make_union(spec), Labeling(labels)))
     else:
-        doc = LabelingDocument((args.cycle, args.path), spec.edge_count, labels, weights, ok)
-        del labels, weights
-        # The parts keep only each int chunk's compact text, so the arrays
-        # are freed before the write lays the chunks out and encodes them.
-        parts = _report_parts(doc)
-        del doc
-        _write(args, parts)
+        doc = LabelingDocument((args.cycle, args.path), spec.edge_count, label_texts, weight_texts, ok)
+        _write(args, _report_parts(doc))
     return EXIT_OK if ok else EXIT_INVALID
 
 

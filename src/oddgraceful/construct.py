@@ -6,7 +6,7 @@ per-vertex Python code, so construction is linear in the edge count. The
 private streams (_closed_form_labels, _algorithmic_labels,
 _short_path_labels) check their spec when called and return the labels as
 an iterator; the public constructors make a Labeling of their tuple, and
-cli label packs a stream straight into an array('q') with no tuple.
+cli label draws a stream a chunk at a time, with no tuple.
 
 The closed form interleaves runs of labels. Around the cycle, the ascending
 evens 0, 2, ..., m-2 alternate with the descending odds 2q-1, ..., 2q-m+3,

@@ -252,7 +252,7 @@ def make_union(spec: FamilySpec) -> Graph:
     Cycle edges come first in the edge list, then path edges, so edge-indexed
     reports line up with the construction order: edge i has tail i, and its
     head is i + 1 but for the cycle's closing edge, whose head is 0.
-    labeling._family_weights mirrors this edge order from the labels alone,
+    labeling._family_chunks mirrors this edge order from the labels alone,
     and test_family_weights_match_the_graph checks that the two agree. The
     graph is validated like any other.
     """

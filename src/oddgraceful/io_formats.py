@@ -43,12 +43,15 @@ Report format (write, parse for labeling documents)
     The text is json.dumps(report, indent=2, sort_keys=True) plus a newline,
     so equal inputs give byte-identical reports. An array of ints, such as
     the labels and the weights, is formatted straight from its ints, a chunk
-    at a time, into compact text (_int_chunks), which also feeds the digest;
-    every other value goes through json.dumps (_indented). _report_parts
-    runs every check and all hashing, keeping each int chunk's compact text,
-    and returns an iterator of text parts that lays each chunk out only as
-    it is reached; emit_report joins them, and the CLI writes them unjoined,
-    so no copy of the whole text is made on the way to a file or stdout.
+    at a time, into compact text (_IntTexts), which also feeds the digest;
+    every other value goes through json.dumps (_indented). cli label hands
+    over its labels and weights already formatted, each chunk as it was
+    drawn from the constructor's stream, and every other caller hands over
+    int sequences, which _int_chunks formats. _report_parts runs every check
+    and all hashing, keeping each int chunk's compact text, and returns an
+    iterator of text parts that lays each chunk out only as it is reached;
+    emit_report joins them, and the CLI writes them unjoined, so no copy of
+    the whole text is made on the way to a file or stdout.
 
 DOT (write): undirected graph; node text is the vertex label when a labeling
 is supplied (bare ids otherwise) and edge text is the induced weight. The CLI
@@ -175,10 +178,11 @@ class LabelingDocument:
     """Self-describing record of one labeling: its family (if any), labels in
     vertex-id order, induced weights in edge order and the verifier verdict.
     labels and weights are int sequences: the parser and
-    build_labeling_document give tuples, and cli label an array('q') each,
-    which hold 8 bytes a value, its labels packed straight from the
-    constructor's stream with no tuple. Counts that contradict edge_count
-    raise ValidationError."""
+    build_labeling_document give tuples. cli label gives each already
+    formatted, as an _IntTexts that it filled a chunk at a time from the
+    constructor's stream, so no sequence of all its ints is ever held; its
+    len() is the int count. Counts that contradict edge_count raise
+    ValidationError."""
 
     family: tuple[int, int] | None
     edge_count: int
@@ -270,10 +274,10 @@ def _report_parts(payload, digest=None):
     top-level value, or an int array's chunk, at a time, never held whole.
     Every check and all hashing run before this returns, so an int past
     str()'s digit limit raises ValidationError before the caller opens its
-    output. An int array is kept as its chunks' compact texts
-    (_int_chunks), each laid out only as the iterator reaches it; every
-    other value's indented text is made now by json.dumps (_indented), and
-    its compact text only to be hashed.
+    output. An int array, or an _IntTexts already made from one, is kept
+    as its chunks' compact texts (_int_chunks), each laid out only as the
+    iterator reaches it; every other value's indented text is made now by
+    json.dumps (_indented), and its compact text only to be hashed.
     """
     body = _payload_body(payload)
     hash_body = digest is None
@@ -288,7 +292,14 @@ def _report_parts(payload, digest=None):
             separator = ","
         try:
             if _holds_only_ints(value):
-                texts[key] = _int_chunks(value, digest if hash_body else None)
+                value = _int_chunks(value)
+            if type(value) is _IntTexts:
+                if hash_body:
+                    for i, text in enumerate(value.texts):
+                        digest.update(b"," if i else b"[")
+                        digest.update(text.encode())
+                    digest.update(b"]" if value.texts else b"[]")
+                texts[key] = value.texts
             else:
                 if hash_body:
                     digest.update(json.dumps(value, sort_keys=True, separators=(",", ":")).encode())
@@ -341,26 +352,36 @@ def _holds_only_ints(value) -> bool:
     return type(value) in (tuple, list) and set(map(type, value)) <= {int}
 
 
-_CHUNK = 1 << 14  # ints formatted at a time by _int_chunks
-_CHUNK_FORMAT = ("%d," * _CHUNK)[:-1]
+_CHUNK = 1 << 14  # ints formatted at a time by _int_chunks and cli label
 
 
-def _int_chunks(values, digest) -> list[str]:
-    """The compact JSON texts of an int array's chunks of _CHUNK ints, made
-    with no JSON encoder and no str object per int: one %-format of a
-    chunk's ints. Each is fed to digest, unless that is None, after a '['
-    or ',', and a ']' after the last ('[]' for no ints).
-    """
-    chunks = []
+class _IntTexts:
+    """An int array as the compact JSON texts of its chunks, without the
+    brackets, each made by one %-format of a chunk's ints, with no JSON
+    encoder and no str object per int. len() is the number of ints, so a
+    LabelingDocument checks its counts as for any int sequence, and
+    _report_parts writes it as it writes the array."""
+
+    def __init__(self):
+        self.texts: list[str] = []
+        self.count = 0
+
+    def add(self, ints) -> None:
+        """Format the next chunk of ints, a list, tuple or array('q'); an
+        empty one adds nothing."""
+        if ints:
+            self.texts.append(("%d," * len(ints))[:-1] % tuple(ints))
+            self.count += len(ints)
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _int_chunks(values) -> _IntTexts:
+    """An int array formatted _CHUNK ints at a time."""
+    chunks = _IntTexts()
     for start in range(0, len(values), _CHUNK):
-        chunk = tuple(values[start:start + _CHUNK])
-        form = _CHUNK_FORMAT if len(chunk) == _CHUNK else ("%d," * len(chunk))[:-1]
-        chunks.append(form % chunk)
-        if digest is not None:
-            digest.update(b"," if start else b"[")
-            digest.update(chunks[-1].encode())
-    if digest is not None:
-        digest.update(b"]" if chunks else b"[]")
+        chunks.add(values[start:start + _CHUNK])
     return chunks
 
 

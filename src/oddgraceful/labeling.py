@@ -11,7 +11,6 @@ the report alone.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
 from operator import sub
@@ -118,7 +117,7 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     deterministic order: out-of-range labels in vertex order, duplicated
     labels by ascending label, even weights in edge order, duplicated weights
     by ascending weight, and finally the weight-set difference if any. The
-    detail is built from the two scans that _verdict read the verdict from.
+    detail is built from the two scans that _verdict reads the verdict from.
     A labeling whose length is not the vertex count raises ValidationError,
     and then so does a label that is not an integer, naming its vertex.
     """
@@ -130,14 +129,15 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
         labels = tuple([_integer(x, f"label of vertex {v}") for v, x in enumerate(labels)])
         labeling = Labeling(labels)
     weights = induced_weights(g, labeling)
-    ok, label_scan, (weight_marks, weight_repeats, weight_outside) = _verdict(labels, weights)
-    if ok:
+    limit = 2 * len(weights)
+    label_scan, weight_scan = _scan(labels, limit), _scan(weights, limit)
+    if _verdict(label_scan, weight_scan):
         return VerifyReport(())
 
     # The detail reads only the weight marks: the label marks are freed here.
     label_repeats, label_outside = label_scan[1:]
-    del label_scan
-    limit = len(weight_marks)
+    weight_marks, weight_repeats, weight_outside = weight_scan
+    del label_scan, weight_scan
     violations: list[Violation] = []
     if label_outside:
         violations += [VertexLabelOutOfRange(v, x) for v, x in enumerate(labels)
@@ -170,46 +170,58 @@ def verify_odd_graceful(g: Graph, labeling: Labeling) -> VerifyReport:
     return VerifyReport(tuple(violations))
 
 
-def _verdict(labels, weights) -> tuple[bool, tuple, tuple]:
-    """Whether labels and their induced weights are odd graceful, with the
-    _scan of the labels and the _scan of the weights it was read from.
+def _verdict(label_scan: tuple, weight_scan: tuple) -> bool:
+    """Whether labels and their induced weights are odd graceful, from the
+    _scan of the labels and the _scan of the weights, q of them, both made
+    with the limit 2q.
 
     Distinct labels in [0, 2q-1] bound every weight by 2q-1, and q distinct
     odd weights in [1, 2q-1] cover the whole odd set, so the verdict needs
     no set comparison: no value repeats or falls outside, and no weight is even.
     """
-    limit = 2 * len(weights)
-    label_scan, weight_scan = _scan(labels, limit), _scan(weights, limit)
-    ok = not (any(label_scan[1:]) or any(weight_scan[1:]) or 1 in weight_scan[0][0::2])
-    return ok, label_scan, weight_scan
+    return not (any(label_scan[1:]) or any(weight_scan[1:]) or 1 in weight_scan[0][0::2])
 
 
-def _family_weights(spec: FamilySpec, labels) -> array:
-    """induced_weights(make_union(spec), Labeling(tuple(labels))) from the
-    labels alone, an int sequence such as a tuple or an array('q'), as an
-    array('q'): the m cycle weights |l[i] - l[(i+1) mod m]|, then the path
-    weights |l[j] - l[j+1]| for m <= j < m+n-1. Left ends are the first m+n-1
-    labels in order, right ends the same shifted by one, the cycle closing on
-    l[0]. The constructors' labels lie in [0, 2q), and 2q < 2**23, so every
-    weight fits the array's 64 bits.
+def _family_chunks(spec: FamilySpec, labels, size: int):
+    """The labels of make_union(spec)'s vertices, an iterable of ints, drawn
+    size at a time as lists, each paired with the list of the weights its
+    labels complete, so that the weight lists, joined, are induced_weights
+    of the graph in its edge order: the m cycle weights |l[i] - l[(i+1) mod m]|,
+    then the path weights |l[j] - l[j+1]| for m <= j < m+n-1. A weight is
+    made when its edge's later label is drawn, from the chunk and the label
+    carried from the chunk before; among the right ends label m gives way to
+    label 0, on which edge m-1 closes the cycle. A weight list may be empty.
+    Once the labels run out, a count other than the vertex count raises
+    ValidationError with _total_labels' message.
     """
     m = spec.cycle_order
-    labels = _counted_labels(m + spec.path_order, labels)
-    rights = chain(islice(labels, 1, m), labels[:1], islice(labels, m + 1, None))
-    return array("q", map(abs, map(sub, islice(labels, len(labels) - 1), rights)))
+    labels = iter(labels)
+    carried = ()  # the last label of the chunk before; none before the first
+    drawn = 0
+    while chunk := list(islice(labels, size)):
+        if not drawn:
+            first = chunk[0]
+        rights = chunk
+        seam = m - drawn  # label m's place in the chunk
+        if 0 <= seam < len(chunk):
+            rights = chunk.copy()
+            rights[seam] = first
+        lefts = chain(carried, chunk)
+        weights = list(map(abs, map(sub, lefts, islice(rights, 1 - len(carried), None))))
+        yield chunk, weights
+        carried = chunk[-1:]
+        drawn += len(chunk)
+    _check_count(drawn, m + spec.path_order)
 
 
 def _total_labels(vertex_count: int, labeling: Labeling) -> tuple[int, ...]:
-    return _counted_labels(vertex_count, labeling.labels)
+    _check_count(len(labeling.labels), vertex_count)
+    return labeling.labels
 
 
-def _counted_labels(vertex_count: int, labels):
-    """labels, an int sequence, once its length is checked against vertex_count."""
-    if len(labels) != vertex_count:
-        raise ValidationError(
-            f"labeling covers {len(labels)} vertices, graph has {vertex_count}"
-        )
-    return labels
+def _check_count(count: int, vertex_count: int) -> None:
+    if count != vertex_count:
+        raise ValidationError(f"labeling covers {count} vertices, graph has {vertex_count}")
 
 
 def _positions(values, repeats: set) -> dict[int, list[int]]:
@@ -231,13 +243,13 @@ def _find_all(marks: bytes, value: int):
         i = marks.find(value, i + 1)
 
 
-def _scan(values, limit: int) -> tuple[bytearray, set, set]:
+def _scan(values, limit: int, into: tuple | None = None) -> tuple[bytearray, set, set]:
     """One pass over values: marks[x] is 1 for each x in [0, limit) that
     occurs; repeats holds each value seen more than once and outside each
-    value not in [0, limit). Both sets stay empty for a valid labeling."""
-    marks = bytearray(limit)
-    repeats = set()
-    outside = set()
+    value not in [0, limit). Both sets stay empty for a valid labeling.
+    into, a scan this returned for the same limit, is filled further and
+    returned, so values drawn in chunks scan as if they came at once."""
+    marks, repeats, outside = into or (bytearray(limit), set(), set())
     for x in values:
         if x < 0 or x >= limit:
             if x in outside:

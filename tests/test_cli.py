@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oddgraceful
@@ -114,12 +114,13 @@ def test_label_report_bytes_pinned(capsys, argv, sha256):
 
 
 def test_label_peak_memory(tmp_path):
-    # label builds no graph: the weights come from the labels alone, packed
-    # in an array('q') like the labels, which are packed straight from the
-    # constructor's stream, and the writer keeps each int chunk's compact
-    # text, laying it out only as it is written. This reads 1.5 MiB here;
+    # label builds no graph: it draws the constructor's stream 16 384 labels
+    # at a time, makes each chunk's weights from the labels alone, scans both
+    # into the verdict's marks and keeps only their compact texts. This reads
+    # 1.9 MiB here, set by one chunk's label and weight lists and their int
+    # objects; packing the labels and weights in array('q') read 1.5 MiB,
     # packing the constructor's label tuple and keeping every chunk's layout
-    # until the write read 1.8 MiB, laying each array out from its whole
+    # until the write 1.8 MiB, laying each array out from its whole
     # compact text, with the label and weight tuples alive, 3.4 MiB,
     # encoding each int array a second time for its layout 3.5 MiB, and
     # building the graph and freeing it before the emit 3.7 MiB. With the
@@ -143,12 +144,12 @@ def test_label_200k_peak_memory(tmp_path):
     # unjoined, each int array laid out from its whole compact text while
     # the label and weight tuples were alive, 22.5 MiB. With both packed in
     # array('q'), the label tuple freed before the layout and each array
-    # laid out a chunk at a time, it read 10.95 MiB, set by the packing of
-    # the constructor's label tuple, when the tuple, its ints and both arrays
-    # were alive. Packing the labels straight from the constructor's stream,
-    # and keeping each int chunk's compact text rather than its layout until
-    # the write, it reads 7.1 MiB on CPython 3.11.7: both arrays and the
-    # compact texts of the chunks made so far.
+    # laid out a chunk at a time, it read 10.95 MiB, and packing the labels
+    # straight from the constructor's stream, keeping each int chunk's
+    # compact text rather than its layout until the write, 7.1 MiB. Drawing
+    # the stream a chunk at a time, with no array, it reads 5.8 MiB on
+    # CPython 3.11.7: the compact texts made so far, the verdict's byte
+    # marks and the last chunk's lists.
     out = str(tmp_path / "l.json")
     tracemalloc.start()
     try:
@@ -157,7 +158,7 @@ def test_label_200k_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 8.5 * 2**20
+    assert peak < 7 * 2**20
     # The --out file holds the bytes pinned for stdout.
     assert pinned_sha256(Path(out).read_bytes().decode()) == SHA256_40_199961
 
@@ -189,7 +190,7 @@ def test_label_builds_no_graph(capsys, monkeypatch):
     ],
 )
 def test_label_report_builds_no_labeling(capsys, monkeypatch, argv):
-    # label packs the report's labels straight from the constructor's stream,
+    # label draws the report's labels straight from the constructor's stream,
     # so its report path calls no public constructor and builds no Labeling,
     # for either method and below the minimum path order, and the report
     # keeps the bytes the public constructors give.
@@ -229,6 +230,97 @@ def test_label_exits_one_on_a_failing_construction(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "label", "--cycle", "8", "--path", "7", "--format", "dot")
     assert code == 1
     assert out.startswith("graph G {")
+
+
+@pytest.mark.parametrize("method", ["closed", "algo"])
+@pytest.mark.parametrize("m", [16384, 16386])
+def test_label_seam_at_the_chunk_boundary(capsys, m, method):
+    # label draws 16 384 labels a chunk. At m = 16 384 label m-1, the left end
+    # of the closing edge m-1, is the last label of chunk 0, so that edge is
+    # made in chunk 1 from the carried label; at m = 16 386 both its ends and
+    # label m, whose place label 0 takes, are in chunk 1. n = 16 383 is
+    # min_path_order for both, so q = 32 766 and 32 768, two chunks each.
+    assert oddgraceful.cli._CHUNK == 16384
+    spec = FamilySpec(m, 16383)
+    construct = label_closed_form if method == "closed" else label_algorithmic
+    labeling = construct(spec)
+    g = make_union(spec)
+    doc = build_labeling_document(g, labeling, verify_odd_graceful(g, labeling).ok, (m, 16383))
+    argv = ("label", "--cycle", str(m), "--path", "16383", "--method", method)
+    assert run_cli(capsys, *argv) == (0, emit_report(doc), "")
+
+
+@st.composite
+def perturbed_family_labelings(draw):
+    """union(m, n)'s closed-form labels, m in 4..16 and n from min_path_order
+    up, with one perturbation drawn near the closing edge or anywhere: a swap,
+    a repeated label, or a label set to any value in [-2, 2q+1] or far out,
+    which makes even and repeated weights; and a chunk size about m."""
+    m = draw(st.sampled_from(range(4, 17, 2)))
+    spec = FamilySpec(m, draw(st.integers(min_path_order(m), min_path_order(m) + 12)))
+    labels = list(label_closed_form(spec).labels)
+    q = spec.edge_count
+    vertices = st.one_of(st.sampled_from((0, m - 1, m)), st.integers(0, len(labels) - 1))
+    i = draw(vertices)
+    kind = draw(st.sampled_from(("none", "swap", "repeat", "set")))
+    if kind == "swap":
+        j = draw(vertices)
+        labels[i], labels[j] = labels[j], labels[i]
+    elif kind == "repeat":
+        labels[i] = labels[draw(vertices)]
+    elif kind == "set":
+        labels[i] = draw(st.one_of(st.integers(-2, 2 * q + 1), st.sampled_from((-4 * q, 4 * q))))
+    return spec, labels, draw(st.sampled_from((1, 2, 3, m - 1, m, m + 1)))
+
+
+def with_label(spec, vertex, label):
+    labels = list(label_closed_form(spec).labels)
+    labels[vertex] = label
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_family_labelings())
+# union(8, 7) is labeled 0 27 2 25 4 23 6 15 | 1 14 3 10 5 8 7. Label 16 on
+# vertex 7 makes the closing edge's weight even (16), in the third chunk of
+# three; label 9 on vertex 14 repeats weight 1 in the last chunk.
+@example((FamilySpec(8, 7), with_label(FamilySpec(8, 7), 7, 16), 3))
+@example((FamilySpec(8, 7), with_label(FamilySpec(8, 7), 14, 9), 3))
+@example((FamilySpec(8, 7), with_label(FamilySpec(8, 7), 0, -1), 7))
+@example((FamilySpec(8, 7), with_label(FamilySpec(8, 7), 8, 28), 8))
+def test_label_chunked_verdict_matches_the_verifier(case):
+    # label scans and formats the stream a chunk at a time, carrying one label
+    # across each seam; at any chunk size its exit code and report must be
+    # the verifier's verdict and the document build_labeling_document makes.
+    spec, labels, size = case
+    m, n = spec.cycle_order, spec.path_order
+    g = make_union(spec)
+    labeling = Labeling(tuple(labels))
+    ok = verify_odd_graceful(g, labeling).ok
+    expected = emit_report(build_labeling_document(g, labeling, ok, (m, n)))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr("oddgraceful.cli._closed_form_labels", lambda spec: iter(labels))
+        patch.setattr("oddgraceful.cli._CHUNK", size)
+        code = main(["label", "--cycle", str(m), "--path", str(n)])
+    assert code == (0 if ok else 1)
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("size", [4, 16384])
+@pytest.mark.parametrize("fmt", [(), ("--format", "dot")])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_label_stream_of_the_wrong_length_exits_usage(tmp_path, capsys, monkeypatch, change, fmt, size):
+    # A stream one label short or one long is refused once it runs out, with
+    # the verifier's message, before --out is opened.
+    labels = list(label_closed_form(FamilySpec(8, 7)).labels)
+    labels = labels[:-1] if change < 0 else labels + [0]
+    monkeypatch.setattr("oddgraceful.cli._closed_form_labels", lambda spec: iter(labels))
+    monkeypatch.setattr("oddgraceful.cli._CHUNK", size)
+    out = tmp_path / "l.json"
+    result = run_cli(capsys, "label", "--cycle", "8", "--path", "7", *fmt, "--out", str(out))
+    assert result == (64, "", f"error: labeling covers {len(labels)} vertices, graph has 15\n")
+    assert not out.exists()
 
 
 def test_verify_failing_peak_memory(tmp_path):

@@ -637,7 +637,7 @@ json_values = st.recursive(
 )
 
 
-# Lengths at the edges of _int_array_parts's chunks.
+# Lengths at the edges of _int_chunks's chunks.
 CHUNK_LENGTHS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
 
 

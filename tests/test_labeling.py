@@ -1,5 +1,4 @@
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +25,7 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.construct import BoundPolicy
-from oddgraceful.labeling import _family_weights
+from oddgraceful.labeling import _family_chunks
 
 from reference_verifier import reference_verify_odd_graceful
 from strategies import family_specs, small_graphs
@@ -103,22 +102,28 @@ def family_labelings(draw):
 @example((FamilySpec(10, 7), label_algorithmic(FamilySpec(10, 7))))
 @example((FamilySpec(12, 6), label_short_path(FamilySpec(12, 6))))
 def test_family_weights_match_the_graph(case):
-    # The family weights are read from the labels alone, as a tuple or packed
-    # in an array('q'); they must be the weights of make_union's edges in its
-    # edge order, and labels of the wrong length must fail with the graph's
-    # message.
+    # The family weights are made from the labels alone, a chunk at a time,
+    # each from its chunk and the label carried from the one before; joined,
+    # they must be the weights of make_union's edges in its edge order, at
+    # every chunk size around the closing edge m-1 and the vertex count, and
+    # labels of the wrong length must fail with the graph's message once
+    # they run out.
     spec, labeling = case
+    m, n = spec.cycle_order, spec.cycle_order + spec.path_order
     g = make_union(spec)
     expected_weights = induced_weights(g, labeling)
-    assert tuple(_family_weights(spec, labeling.labels)) == expected_weights
-    assert tuple(_family_weights(spec, array("q", labeling.labels))) == expected_weights
+    for size in (1, 2, 3, m - 1, m, m + 1, n - 1, n, n + 1):
+        chunks = list(_family_chunks(spec, iter(labeling.labels), size))
+        assert all(0 < len(labels) <= size for labels, _ in chunks)
+        assert tuple(x for labels, _ in chunks for x in labels) == labeling.labels
+        assert tuple(w for _, weights in chunks for w in weights) == expected_weights
     for wrong in (Labeling(labeling.labels[:-1]), Labeling(labeling.labels + (0,))):
         message = rf"^labeling covers {len(wrong.labels)} vertices, graph has {g.vertex_count}$"
         with pytest.raises(ValidationError, match=message) as expected:
             induced_weights(g, wrong)
-        for labels in (wrong.labels, array("q", wrong.labels)):
+        for size in (1, m, n):
             with pytest.raises(ValidationError, match=message) as got:
-                _family_weights(spec, labels)
+                list(_family_chunks(spec, iter(wrong.labels), size))
             assert str(got.value) == str(expected.value)
 
 
